@@ -2,7 +2,16 @@
 
 Exit codes: 0 success (and schurian for `check --schurity`), 2 budget
 exceeded, 3 non-schurian, 64 usage or malformed input, 65 validation
-failure.  Budget flags have SCHUR_-prefixed environment mirrors.
+failure.
+
+Each subcommand takes only the budget flags it reads:
+
+  enumerate      --max-order, --time-limit, --jobs
+  check, aut     --chain-budget
+  verify-paper   --time-limit, --jobs
+
+Their defaults come from the environment variables SCHUR_MAX_ORDER,
+SCHUR_CHAIN_BUDGET, SCHUR_TIME_LIMIT and SCHUR_JOBS when these are set.
 """
 
 from __future__ import annotations
@@ -245,7 +254,7 @@ def cmd_verify_paper(args):
         with open(args.report, "w") as f:
             json.dump(report.to_json_dict(), f, indent=2)
     if any(c.status == "budget" for c in report.claims):
-        return EX_BUDGET if not report.ok else EX_BUDGET
+        return EX_BUDGET
     return EX_OK if report.ok else 1
 
 
@@ -260,44 +269,45 @@ def build_parser():
     def add_common(q):
         q.add_argument("-o", "--output", default=None, help="write result to this file")
 
-    def add_budgets(q):
-        q.add_argument(
-            "--max-order",
+    budgets = {
+        "--max-order": dict(
             type=int,
             default=_env("MAX_ORDER", 81, int),
             help="largest group order to enumerate (default 81)",
-        )
-        q.add_argument(
-            "--chain-budget",
+        ),
+        "--chain-budget": dict(
             type=int,
             default=_env("CHAIN_BUDGET", 1_000_000, int),
             help="stabilizer-chain transversal entry budget",
-        )
-        q.add_argument(
-            "--time-limit",
+        ),
+        "--time-limit": dict(
             type=float,
             default=_env("TIME_LIMIT", None, float),
             help="wall-clock limit in seconds",
-        )
-        q.add_argument(
-            "--jobs",
+        ),
+        "--jobs": dict(
             type=int,
             default=_env("JOBS", os.cpu_count() or 1, int),
             help="worker count for enumeration (default: available parallelism)",
-        )
+        ),
+    }
+
+    def add_budgets(q, *flags):
+        for flag in flags:
+            q.add_argument(flag, **budgets[flag])
 
     q = sub.add_parser("enumerate", help="enumerate all S-rings over a group")
     q.add_argument("--group", required=True, help="comma-separated cyclic orders, e.g. 3,9")
     q.add_argument("--up-to-cayley", action="store_true")
     q.add_argument("--filter", default=None, help="comma-separated: %s" % ",".join(sorted(FILTERS)))
     add_common(q)
-    add_budgets(q)
+    add_budgets(q, "--max-order", "--time-limit", "--jobs")
     q.set_defaults(fn=cmd_enumerate)
 
     q = sub.add_parser("check", help="validate a ring JSON; optionally test schurity")
     q.add_argument("ring", help="path to ring JSON, or - for stdin")
     q.add_argument("--schurity", action="store_true")
-    add_budgets(q)
+    add_budgets(q, "--chain-budget")
     q.set_defaults(fn=cmd_check)
 
     q = sub.add_parser("cyclotomic", help="orbit ring of automorphisms")
@@ -332,7 +342,7 @@ def build_parser():
 
     q = sub.add_parser("aut", help="automorphism group, stabilizer orbits, schurity")
     q.add_argument("ring")
-    add_budgets(q)
+    add_budgets(q, "--chain-budget")
     q.set_defaults(fn=cmd_aut)
 
     q = sub.add_parser("classify", help="Cayley-isomorphism classes of a ring list")
@@ -344,7 +354,7 @@ def build_parser():
     q.add_argument("--n", type=int, required=True, help="1, 2, or 3 (3 is long-running)")
     q.add_argument("--report", default=None, help="also write the JSON report here")
     q.add_argument("--verbose", action="store_true")
-    add_budgets(q)
+    add_budgets(q, "--time-limit", "--jobs")
     q.set_defaults(fn=cmd_verify_paper)
 
     return p

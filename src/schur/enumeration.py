@@ -2,7 +2,7 @@
 
 The search assigns the class of the least unassigned element, choosing it
 as a subset of the unassigned elements; candidate subsets are generated in
-size-ascending lexicographic order.  Three toggleable pruning rules steer
+size-ascending lexicographic order.  Three pruning rules, always on, steer
 the search:
 
   (a) inverse closure -- the m = -1 power map: a completed class's inverse
@@ -16,7 +16,8 @@ the search:
       far.
 
 Leaves always pass full validation, so pruning soundness affects only
-completeness, which the brute-force oracle cross-checks at small orders.
+completeness.  The brute-force oracle `enumerate_srings_brute`, which
+filters every set partition and is capped at order 9, cross-checks it.
 All S-ring counts produced here are artifact regression constants; they are
 not published values.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from math import gcd
 
 import numpy as np
 
@@ -39,22 +39,17 @@ DEFAULT_ENUM_CAP = 81
 
 
 class _Search:
-    def __init__(self, group, prune_inverse, prune_multiplier, prune_module, deadline, stats):
+    def __init__(self, group, deadline, stats):
         self.group = group
         self.n = group.size
-        self.prune_module = prune_module
         self.deadline = deadline
         self.stats = stats
         exp = group.exponent
-        inv_m = exp - 1 if exp > 2 else None
-        self.mults = []
-        for m in group.multiplier_exponents():
-            if m == 1:
-                continue
-            enabled = prune_inverse if m == inv_m else prune_multiplier
-            if enabled:
-                minv = pow(m, -1, exp)
-                self.mults.append((m, group.power_map(m), group.power_map(minv)))
+        self.mults = [
+            (m, group.power_map(m), group.power_map(pow(m, -1, exp)))
+            for m in group.multiplier_exponents()
+            if m != 1
+        ]
         self.class_of = np.full(self.n, -1, dtype=np.int64)
         self.class_of[0] = 0
         self.completed = [(frozenset([0]), np.array([0], dtype=np.int64))]
@@ -66,13 +61,6 @@ class _Search:
         self.stats["nodes"] += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("enumeration time limit exceeded")
-
-    def run(self, preassigned=()):
-        for members in preassigned:
-            if not self._assign(frozenset(members)):
-                return self.results
-        self._extend()
-        return self.results
 
     # -- tree ------------------------------------------------------------------
 
@@ -109,7 +97,7 @@ class _Search:
             ok, cand = forced
             return [cand] if ok else []
         eligible = [int(i) for i in np.nonzero(self.class_of < 0)[0] if i > pivot]
-        if self.prune_module and self.rows:
+        if self.rows:
             prof = np.array(self.rows)
             keep = np.all(prof[:, eligible] == prof[:, [pivot]], axis=0)
             self.stats["profile_filtered"] += len(eligible) - int(keep.sum())
@@ -238,25 +226,22 @@ class _Search:
 
     def _assign(self, members):
         arr = np.array(sorted(members), dtype=np.int64)
-        if self.prune_module:
-            new_rows = []
+        new_rows = []
+        for c, carr in self.completed[1:]:
+            new_rows.append(set_product_vector(self.group, carr, arr))
+        new_rows.append(set_product_vector(self.group, arr, arr))
+        for row in new_rows:
             for c, carr in self.completed[1:]:
-                new_rows.append(set_product_vector(self.group, carr, arr))
-            new_rows.append(set_product_vector(self.group, arr, arr))
-            for row in new_rows:
-                for c, carr in self.completed[1:]:
-                    vals = row[carr]
-                    if int(vals.max()) != int(vals.min()):
-                        self.stats["prune_module"] += 1
-                        return False
-                vals = row[arr]
+                vals = row[carr]
                 if int(vals.max()) != int(vals.min()):
                     self.stats["prune_module"] += 1
                     return False
-            self.rows.extend(new_rows)
-            self._rows_added.append(len(new_rows))
-        else:
-            self._rows_added.append(0)
+            vals = row[arr]
+            if int(vals.max()) != int(vals.min()):
+                self.stats["prune_module"] += 1
+                return False
+        self.rows.extend(new_rows)
+        self._rows_added.append(len(new_rows))
         self.class_of[arr] = len(self.completed)
         self.completed.append((frozenset(int(i) for i in arr), arr))
         return True
@@ -264,9 +249,7 @@ class _Search:
     def _unassign(self):
         members, arr = self.completed.pop()
         self.class_of[arr] = -1
-        k = self._rows_added.pop()
-        if k:
-            del self.rows[-k:]
+        del self.rows[-self._rows_added.pop():]
 
 
 def _new_stats():
@@ -282,85 +265,53 @@ def _new_stats():
     }
 
 
-def _root_candidates(group, prune_inverse, prune_multiplier, prune_module):
-    s = _Search(group, prune_inverse, prune_multiplier, prune_module, None, _new_stats())
-    pivot = s._least_unassigned()
-    if pivot is None:
-        return []
-    return s.candidates(pivot)
+def _run_slice(group, roots, deadline):
+    """The S-ring keys below the given root classes, and the search's stats."""
+    s = _Search(group, deadline, _new_stats())
+    for cand in roots:
+        if s._assign(cand):
+            s._extend()
+            s._unassign()
+    return s.results, s.stats
 
 
-def _subtree_worker(args):
-    orders, first, pi, pm, pmod, time_limit = args
-    group = grp.AbelianGroup(orders)
-    deadline = time.monotonic() + time_limit if time_limit else None
-    s = _Search(group, pi, pm, pmod, deadline, _new_stats())
-    return s.run(preassigned=[first])
+def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats=None):
+    """The complete, duplicate-free list of S-rings over G, canonical order.
 
-
-def enumerate_srings(
-    group,
-    cap=DEFAULT_ENUM_CAP,
-    prune_inverse=True,
-    prune_multiplier=True,
-    prune_module=True,
-    symmetry_reduction=False,
-    jobs=1,
-    time_limit=None,
-    stats=None,
-):
-    """The complete, duplicate-free list of S-rings over G, canonical order."""
+    The root node's candidate classes for the least non-identity element
+    are split into `jobs` strided slices, each searched on its own; with
+    jobs <= 1 the one slice runs in this process, otherwise each slice runs
+    in a worker process.  The result and the stats do not depend on `jobs`.
+    `time_limit` (seconds) is one deadline shared by every slice; once it
+    passes, BudgetExceeded is raised.  Search counters are added into
+    `stats` in place, if given, when the search completes.
+    """
     if group.size > cap:
         raise CapExceeded("enumeration over order %d exceeds cap %d" % (group.size, cap))
     if group.size > 27:
         warnings.warn("enumerating S-rings over order %d may take a long time" % group.size)
-    stats = stats if stats is not None else _new_stats()
     deadline = time.monotonic() + time_limit if time_limit else None
-    keys = set()
-    if symmetry_reduction or jobs > 1:
-        roots = _root_candidates(group, prune_inverse, prune_multiplier, prune_module)
-        auts = grp.automorphisms(group) if symmetry_reduction else []
-        if symmetry_reduction:
-            pivot = 1
-            kept = []
-            for cand in roots:
-                images = []
-                for f in auts:
-                    img = f.apply_set(cand)
-                    if pivot in img:
-                        images.append(tuple(sorted(img)))
-                if tuple(sorted(cand)) == min(images):
-                    kept.append(cand)
-            roots = kept
-        if not roots:  # trivial or near-trivial group
-            s = _Search(group, prune_inverse, prune_multiplier, prune_module, deadline, stats)
-            keys.update(s.run())
-        elif jobs > 1:
-            args = [
-                (group.orders, tuple(sorted(r)), prune_inverse, prune_multiplier, prune_module, time_limit)
-                for r in roots
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(_subtree_worker, args):
-                    keys.update(part)
-        else:
-            for r in roots:
-                s = _Search(group, prune_inverse, prune_multiplier, prune_module, deadline, stats)
-                keys.update(s.run(preassigned=[tuple(sorted(r))]))
-        if symmetry_reduction:
-            closed = set(keys)
-            for key in keys:
-                for f in grp.automorphisms(group):
-                    moved = sorted(
-                        tuple(sorted(f.apply_index(i) for i in c)) for c in key
-                    )
-                    closed.add(tuple(moved))
-            keys = closed
+    root = _Search(group, deadline, _new_stats())
+    root._tick()
+    pivot = root._least_unassigned()
+    parts = [(root.results, root.stats)]
+    if pivot is None:  # the trivial group: the root is its only leaf
+        root._leaf()
     else:
-        s = _Search(group, prune_inverse, prune_multiplier, prune_module, deadline, stats)
-        keys.update(s.run())
-    out = [sr.SRing(group, [frozenset(c) for c in key]) for key in sorted(keys)]
-    return out
+        roots = root.candidates(pivot)
+        if jobs <= 1:
+            parts.append(_run_slice(group, roots, deadline))
+        else:
+            slices = [roots[i::jobs] for i in range(jobs)]
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                parts += pool.map(_run_slice, [group] * jobs, slices, [deadline] * jobs)
+    keys = set()
+    for part_keys, part_stats in parts:
+        keys.update(part_keys)
+        if stats is not None:
+            for k, v in part_stats.items():
+                stats[k] = stats.get(k, 0) + v
+    return [sr.SRing(group, [frozenset(c) for c in key]) for key in sorted(keys)]
 
 
 def _set_partitions(items):

@@ -80,9 +80,6 @@ class AbelianGroup:
     def iinv(self, i):
         return int(self.inv_table[i])
 
-    def ipow(self, i, m):
-        return self.index[self.pow(self.elements[i], m)]
-
     def power_map(self, m):
         """Index array of x -> x^m over the whole group."""
         mods = np.array(self.orders, dtype=np.int64).reshape(1, -1) if self.rank else None

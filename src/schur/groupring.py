@@ -31,9 +31,6 @@ class GroupRingElement:
     def support(self):
         return {self.group.elements[int(i)] for i in np.nonzero(self.coeffs)[0]}
 
-    def support_indices(self):
-        return frozenset(int(i) for i in np.nonzero(self.coeffs)[0])
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupRingElement)

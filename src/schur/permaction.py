@@ -229,16 +229,7 @@ class PermGroup:
         return sorted(tuple(sorted(b)) for b in blocks.values())
 
     def orbit(self, point):
-        seen = {int(point)}
-        queue = [int(point)]
-        while queue:
-            x = queue.pop()
-            for g in self.generators:
-                y = int(g[x])
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
+        return frozenset(orbit_of(self.generators, point))
 
     def orbitals(self):
         """Orbit partition of the diagonal action on ordered pairs."""

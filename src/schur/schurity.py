@@ -292,10 +292,6 @@ def is_schurian(ring, node_budget=DEFAULT_NODE_BUDGET, chain_budget=pa.DEFAULT_C
     )
 
 
-def two_equivalent(p1, p2):
-    return pa.two_equivalent(p1, p2)
-
-
 @dataclass
 class GeneralizedWreathReport:
     section: "sr.SectionRef"

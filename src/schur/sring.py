@@ -54,9 +54,6 @@ class SRing:
     def rank(self):
         return len(self.classes)
 
-    def class_index_of(self, g):
-        return int(self.class_of[self.group.index[self.group.element(g)]])
-
     def product_vector(self, x, y):
         """Coefficient vector of the product of class sums x and y."""
         key = (min(x, y), max(x, y))  # commutative

@@ -122,11 +122,6 @@ def cyclotomic_partition_orbits(group, deadline=None):
     return sorted(reps), known
 
 
-def cyclotomic_partitions(group, deadline=None):
-    """All distinct orbit partitions of subgroups K <= Aut(G)."""
-    return sorted(cyclotomic_partition_orbits(group, deadline)[1])
-
-
 def labels_to_classes(labels):
     blocks = {}
     for i, l in enumerate(labels):
@@ -294,7 +289,7 @@ class Report:
         }
 
 
-def _run(report, claim_id, fn, time_limit=None):
+def _run(report, claim_id, fn):
     start = time.monotonic()
     try:
         detail = fn()
@@ -318,9 +313,8 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
     state = {}
 
     def claim_enumerate():
-        state["rings"] = enumerate_srings(
-            d, time_limit=time_limit, jobs=jobs
-        )
+        left = deadline - time.monotonic() if deadline is not None else None
+        state["rings"] = enumerate_srings(d, time_limit=left, jobs=jobs)
         return "%d S-rings over %s (regression constant)" % (
             len(state["rings"]),
             list(d.orders),

@@ -1,19 +1,26 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from schur.cli import main
+import schur
+from schur.cli import build_parser, main
+
+# the child interpreter imports the same `schur` as this one
+SRC = os.path.dirname(os.path.dirname(schur.__file__))
 
 
 def run_cli(args, stdin=None):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "schur.cli"] + args,
         input=stdin,
         capture_output=True,
         text=True,
         timeout=600,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc
 
@@ -27,6 +34,32 @@ def test_enumerate_writes_header_and_rings(tmp_path):
     assert doc["count"] == 40
     assert len(doc["rings"]) == 40
     assert "seconds" in doc and "prunes" in doc
+
+
+def test_enumerate_default_jobs_reports_search_stats():
+    proc = run_cli(["enumerate", "--group", "3,3"])
+    assert proc.returncode == 0, proc.stderr
+    prunes = json.loads(proc.stdout)["prunes"]
+    assert prunes["nodes"] == 117
+    assert prunes["leaves"] == 40
+
+
+def test_budget_flags_belong_to_their_subcommand():
+    parser = build_parser()
+    owned = {
+        ("enumerate", "--group", "3,3"): {"--max-order", "--time-limit", "--jobs"},
+        ("check", "-"): {"--chain-budget"},
+        ("aut", "-"): {"--chain-budget"},
+        ("verify-paper", "--n", "1"): {"--time-limit", "--jobs"},
+    }
+    for cmd, flags in owned.items():
+        for flag in ("--max-order", "--chain-budget", "--time-limit", "--jobs"):
+            argv = list(cmd) + [flag, "1"]
+            if flag in flags:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
 
 
 def test_enumerate_filter_and_classify(tmp_path):

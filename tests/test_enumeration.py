@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
-from schur import AbelianGroup, CapExceeded, automorphisms
+from schur import AbelianGroup, BudgetExceeded, CapExceeded, automorphisms
 from schur.enumeration import (
+    _new_stats,
     classify_up_to_cayley,
     enumerate_srings,
     enumerate_srings_brute,
@@ -58,29 +61,28 @@ def test_closed_under_automorphisms_and_rational_conjugation():
                 assert tuple(conj) in keys
 
 
-@pytest.mark.parametrize("rule", ["prune_inverse", "prune_multiplier", "prune_module"])
-@pytest.mark.parametrize("orders", [[9], [3, 3]])
-def test_disabling_single_prune_rule_preserves_output(rule, orders):
-    g = AbelianGroup(orders)
-    base = [r.canonical_key() for r in enumerate_srings(g)]
-    kwargs = {rule: False}
-    relaxed = [r.canonical_key() for r in enumerate_srings(g, **kwargs)]
-    assert base == relaxed
-
-
-def test_symmetry_reduction_crosscheck():
-    for orders in ([9], [3, 3]):
-        g = AbelianGroup(orders)
-        plain = [r.canonical_key() for r in enumerate_srings(g)]
-        reduced = [r.canonical_key() for r in enumerate_srings(g, symmetry_reduction=True)]
-        assert plain == reduced
-
-
 def test_parallel_jobs_same_result():
-    g = AbelianGroup([3, 3])
-    plain = [r.canonical_key() for r in enumerate_srings(g)]
-    par = [r.canonical_key() for r in enumerate_srings(g, jobs=2)]
-    assert plain == par
+    for orders in ([3, 3], [2, 8]):
+        g = AbelianGroup(orders)
+        stats1, stats2 = _new_stats(), _new_stats()
+        plain = [r.canonical_key() for r in enumerate_srings(g, stats=stats1)]
+        par = [r.canonical_key() for r in enumerate_srings(g, jobs=2, stats=stats2)]
+        assert plain == par, orders
+        assert stats1 == stats2, orders
+        assert stats1["leaves"] == len(plain), orders
+
+
+def test_parallel_jobs_share_one_deadline():
+    g = AbelianGroup([2, 2, 4])
+    start = time.monotonic()
+    enumerate_srings(g)
+    # a quarter of the serial time: less than two workers need for the whole
+    # search, more than any one root subtree needs
+    limit = (time.monotonic() - start) / 4
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        enumerate_srings(g, jobs=2, time_limit=limit)
+    assert time.monotonic() - start < limit + 1.0
 
 
 def test_warns_above_27_and_honors_time_limit():
