@@ -7,11 +7,12 @@ failure.
 Each subcommand takes only the budget flags it reads:
 
   enumerate      --max-order, --time-limit, --jobs
-  check, aut     --chain-budget
   verify-paper   --time-limit, --jobs
 
 Their defaults come from the environment variables SCHUR_MAX_ORDER,
-SCHUR_CHAIN_BUDGET, SCHUR_TIME_LIMIT and SCHUR_JOBS when these are set.
+SCHUR_TIME_LIMIT and SCHUR_JOBS when these are set.  `check --schurity`
+and `aut` take no budget flag; their automorphism search stops at its
+fixed node budget, which exits 2 like any other budget.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def cmd_check(args):
     if not args.schurity:
         return EX_OK
     try:
-        rep = sch.is_schurian(ring, chain_budget=args.chain_budget)
+        rep = sch.is_schurian(ring)
     except BudgetExceeded as e:
         print("budget exceeded: %s" % e, file=sys.stderr)
         return EX_BUDGET
@@ -202,7 +203,7 @@ def cmd_wreath(args):
 def cmd_aut(args):
     ring = _read_ring(args.ring)
     try:
-        rep = sch.is_schurian(ring, chain_budget=args.chain_budget)
+        rep = sch.is_schurian(ring)
     except BudgetExceeded as e:
         print("budget exceeded: %s" % e, file=sys.stderr)
         return EX_BUDGET
@@ -275,11 +276,6 @@ def build_parser():
             default=_env("MAX_ORDER", 81, int),
             help="largest group order to enumerate (default 81)",
         ),
-        "--chain-budget": dict(
-            type=int,
-            default=_env("CHAIN_BUDGET", 1_000_000, int),
-            help="stabilizer-chain transversal entry budget",
-        ),
         "--time-limit": dict(
             type=float,
             default=_env("TIME_LIMIT", None, float),
@@ -307,7 +303,6 @@ def build_parser():
     q = sub.add_parser("check", help="validate a ring JSON; optionally test schurity")
     q.add_argument("ring", help="path to ring JSON, or - for stdin")
     q.add_argument("--schurity", action="store_true")
-    add_budgets(q, "--chain-budget")
     q.set_defaults(fn=cmd_check)
 
     q = sub.add_parser("cyclotomic", help="orbit ring of automorphisms")
@@ -342,7 +337,6 @@ def build_parser():
 
     q = sub.add_parser("aut", help="automorphism group, stabilizer orbits, schurity")
     q.add_argument("ring")
-    add_budgets(q, "--chain-budget")
     q.set_defaults(fn=cmd_aut)
 
     q = sub.add_parser("classify", help="Cayley-isomorphism classes of a ring list")

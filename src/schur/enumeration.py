@@ -266,13 +266,17 @@ def _new_stats():
 
 
 def _run_slice(group, roots, deadline):
-    """The S-ring keys below the given root classes, and the search's stats."""
+    """(keys, stats, timed_out): the S-ring keys below the given root
+    classes and the search's stats, partial if the deadline cut it short."""
     s = _Search(group, deadline, _new_stats())
-    for cand in roots:
-        if s._assign(cand):
-            s._extend()
-            s._unassign()
-    return s.results, s.stats
+    try:
+        for cand in roots:
+            if s._assign(cand):
+                s._extend()
+                s._unassign()
+    except BudgetExceeded:
+        return s.results, s.stats, True
+    return s.results, s.stats, False
 
 
 def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats=None):
@@ -282,9 +286,10 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
     are split into `jobs` strided slices, each searched on its own; with
     jobs <= 1 the one slice runs in this process, otherwise each slice runs
     in a worker process.  The result and the stats do not depend on `jobs`.
-    `time_limit` (seconds) is one deadline shared by every slice; once it
-    passes, BudgetExceeded is raised.  Search counters are added into
-    `stats` in place, if given, when the search completes.
+    `time_limit` (seconds) is one deadline shared by every slice.  Search
+    counters are added into `stats` in place, if given; when the deadline
+    passes, every slice's counters so far are added all the same, and then
+    BudgetExceeded is raised with the nodes searched and the rings found.
     """
     if group.size > cap:
         raise CapExceeded("enumeration over order %d exceeds cap %d" % (group.size, cap))
@@ -294,7 +299,7 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
     root = _Search(group, deadline, _new_stats())
     root._tick()
     pivot = root._least_unassigned()
-    parts = [(root.results, root.stats)]
+    parts = [(root.results, root.stats, False)]
     if pivot is None:  # the trivial group: the root is its only leaf
         root._leaf()
     else:
@@ -306,11 +311,19 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 parts += pool.map(_run_slice, [group] * jobs, slices, [deadline] * jobs)
     keys = set()
-    for part_keys, part_stats in parts:
+    merged = _new_stats()
+    for part_keys, part_stats, _ in parts:
         keys.update(part_keys)
-        if stats is not None:
-            for k, v in part_stats.items():
-                stats[k] = stats.get(k, 0) + v
+        for k, v in part_stats.items():
+            merged[k] += v
+    if stats is not None:
+        for k, v in merged.items():
+            stats[k] = stats.get(k, 0) + v
+    if any(timed_out for _, _, timed_out in parts):
+        raise BudgetExceeded(
+            "enumeration time limit exceeded after %d nodes, %d rings found"
+            % (merged["nodes"], len(keys))
+        )
     return [sr.SRing(group, [frozenset(c) for c in key]) for key in sorted(keys)]
 
 

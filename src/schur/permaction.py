@@ -1,9 +1,17 @@
 """Permutations of the group domain and permutation groups.
 
-Permutations are image arrays over canonical indices.  PermGroup keeps a
-deterministic Schreier-Sims stabilizer chain; group order and membership
-never enumerate elements.  Base points are chosen in canonical index order
-starting from e, so the stabilizer of e is the tail of the default chain.
+Permutations are image arrays over canonical indices.  PermGroup builds a
+deterministic Schreier-Sims stabilizer chain lazily, on first need; group
+order and membership never enumerate elements.  Base points are chosen in
+canonical index order starting from e, so the stabilizer of e is the tail
+of the default chain.
+
+Two memos sit in front of the chain: `order()` keeps its value in `_order`
+and `point_stabilizer(point)` keeps each stabilizer in `_stabilizers`.  The
+automorphism search in `schurity` fills both for the group it returns (its
+order and the stabilizer of e come out of the search itself), so those two
+calls build no chain there; `contains()`, `chain()` and stabilizers of other
+points still do.
 """
 
 from __future__ import annotations
@@ -170,6 +178,8 @@ class PermGroup:
         self.generators = gens
         self.chain_budget = chain_budget
         self._chain = None
+        self._order = None
+        self._stabilizers = {}
 
     def chain(self):
         if self._chain is None:
@@ -177,11 +187,12 @@ class PermGroup:
         return self._chain
 
     def order(self):
-        chain = self.chain()
-        n = 1
-        for t in chain.transversal:
-            n *= len(t)
-        return n
+        if self._order is None:
+            n = 1
+            for t in self.chain().transversal:
+                n *= len(t)
+            self._order = n
+        return self._order
 
     def contains(self, p):
         p = as_perm(p, self.degree)
@@ -196,14 +207,16 @@ class PermGroup:
     def point_stabilizer(self, point):
         """The stabilizer of a point, from a chain rebased at that point."""
         point = int(point)
-        if self._chain is not None and self._chain.base[0] == point:
-            chain = self._chain
-        elif point == 0:
-            chain = self.chain()
-        else:
-            chain = _build_chain(self.generators, self.degree, point, self.chain_budget)
-        gens = [p for p in chain.strong if int(p[point]) == point]
-        return PermGroup(gens, self.degree, self.chain_budget)
+        if point not in self._stabilizers:
+            if self._chain is not None and self._chain.base[0] == point:
+                chain = self._chain
+            elif point == 0:
+                chain = self.chain()
+            else:
+                chain = _build_chain(self.generators, self.degree, point, self.chain_budget)
+            gens = [p for p in chain.strong if int(p[point]) == point]
+            self._stabilizers[point] = PermGroup(gens, self.degree, self.chain_budget)
+        return self._stabilizers[point]
 
     def orbits(self, points=None):
         """Orbit partition on the domain (or the given points), sorted."""

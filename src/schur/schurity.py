@@ -10,6 +10,16 @@ automorphisms, so the top branching level collapses and the search descends
 straight into the stabilizer of e.  Generators found along the way prune
 sibling branches via orbit computations; the result is deterministic as a
 set of generators.
+
+The search also yields |Aut| and the stabilizer of e, so no Schreier-Sims
+chain is needed for them.  The generators found below a node of the first
+path, together with those found at it, generate the stabilizer of that
+node's fixed points, so the generators form a strong generating set for the
+base of first-path vertices, and |Aut| is the product of the final orbit
+sizes along the first path (McKay 1981, "Practical graph isomorphism";
+McKay and Piperno 2014, "Practical graph isomorphism, II").  The base
+starts at e, so every generator beyond the right translations fixes e, and
+those generate Aut_e, of order |Aut|/|G|.
 """
 
 from __future__ import annotations
@@ -163,25 +173,24 @@ def _branch_index(cells):
 # -- the search ---------------------------------------------------------------
 
 
-def scheme_automorphisms(
-    ring,
-    node_budget=DEFAULT_NODE_BUDGET,
-    chain_budget=pa.DEFAULT_CHAIN_BUDGET,
-):
+def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET):
     """Generators of the full color-preserving group of the ring's scheme.
 
     Always contains the right translations.  Rank <= 2 short-circuits to the
     symmetric group, which is returned by generators and never enumerated.
+    Otherwise the returned group already knows its order and its stabilizer
+    of e, both read off the search (see the module docstring).
     """
     g = ring.group
     n = g.size
     if n == 1:
-        return pa.PermGroup([], 1, chain_budget)
+        return pa.PermGroup([], 1)
     if ring.rank <= 2:
         return pa.symmetric_group(n)
     m = scheme_matrix(ring)
     rank = ring.rank
     gens = list(pa.right_translations(g).generators)
+    translations = len(gens)
     nodes = 0
 
     def ind_ref(cells, ci, v):
@@ -215,13 +224,14 @@ def scheme_automorphisms(
         return None
 
     def build(cells, fixed):
+        """Extend gens to generate the stabilizer of `fixed`; its order."""
         if len(cells) == n:
-            return
+            return 1
         i = _branch_index(cells)
         cell = cells[i]
         v = int(cell[0])
         sv, fv = ind_ref(cells, i, v)
-        build(sv, fixed + [v])
+        below = build(sv, fixed + [v])
         fixing = [p for p in gens if all(int(p[x]) == x for x in fixed)]
         orb = pa.orbit_of(fixing, v)
         for w in cell[1:]:
@@ -236,10 +246,18 @@ def scheme_automorphisms(
                 gens.append(r)
                 fixing.append(r)
                 orb = pa.orbit_of(fixing, v)
+        return len(orb) * below
 
+    # The translations make the scheme vertex-transitive, so the unit
+    # partition is already stable and the first path starts at e.
     cells0, _ = _refine(m, rank, [np.arange(n, dtype=np.int64)])
-    build(cells0, [])
-    return pa.PermGroup(gens, n, chain_budget)
+    order = build(cells0, [])
+    aut = pa.PermGroup(gens, n)
+    stab = pa.PermGroup(gens[translations:], n)
+    stab._order = order // n
+    aut._order = order
+    aut._stabilizers[0] = stab
+    return aut
 
 
 # -- schurity -----------------------------------------------------------------
@@ -257,15 +275,19 @@ class SchurityReport:
         return self.schurian
 
 
-def is_schurian(ring, node_budget=DEFAULT_NODE_BUDGET, chain_budget=pa.DEFAULT_CHAIN_BUDGET):
+def is_schurian(ring, node_budget=DEFAULT_NODE_BUDGET):
     """Compare the e-stabilizer orbits of the full scheme automorphism group
     with the class partition.
 
     Orbits of the stabilizer are always contained in classes, so the ring is
     schurian iff every class is a single orbit; otherwise the witness names a
-    split class.
+    split class.  For rank > 2, Aut_e and |Aut| come from the automorphism
+    search itself: Aut_e is generated by the generators it found beyond the
+    right translations, and |Aut| is the product of the orbit sizes along its
+    first path (McKay's argument, see the module docstring); no stabilizer
+    chain is built.
     """
-    aut = scheme_automorphisms(ring, node_budget, chain_budget)
+    aut = scheme_automorphisms(ring, node_budget)
     stab = aut.point_stabilizer(0)
     orbits = stab.orbits()
     by_class = {}

@@ -48,8 +48,8 @@ def test_budget_flags_belong_to_their_subcommand():
     parser = build_parser()
     owned = {
         ("enumerate", "--group", "3,3"): {"--max-order", "--time-limit", "--jobs"},
-        ("check", "-"): {"--chain-budget"},
-        ("aut", "-"): {"--chain-budget"},
+        ("check", "-"): set(),
+        ("aut", "-"): set(),
         ("verify-paper", "--n", "1"): {"--time-limit", "--jobs"},
     }
     for cmd, flags in owned.items():
@@ -167,6 +167,12 @@ def test_verify_paper_n1(tmp_path):
     assert "enumerate" in ids and "schurian-all" in ids and "e-c1-classes" in ids
     assert all(c["status"] == "pass" for c in doc["claims"])
     assert all(set(c) == {"id", "status", "detail", "seconds"} for c in doc["claims"])
+
+
+def test_verify_paper_time_limit_stops_every_claim():
+    proc = run_cli(["verify-paper", "--n", "2", "--time-limit", "0.000001", "--jobs", "1"])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "PASS" not in proc.stdout
 
 
 def test_main_entry_usage_error_code():

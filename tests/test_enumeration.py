@@ -85,6 +85,15 @@ def test_parallel_jobs_share_one_deadline():
     assert time.monotonic() - start < limit + 1.0
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_time_out_keeps_the_progress_made(jobs):
+    stats = _new_stats()
+    with pytest.raises(BudgetExceeded, match="after [1-9][0-9]* nodes"):
+        enumerate_srings(AbelianGroup([2, 2, 4]), jobs=jobs, time_limit=0.2, stats=stats)
+    # the root ticks once; more nodes can only come from the slices
+    assert stats["nodes"] > 1
+
+
 def test_warns_above_27_and_honors_time_limit():
     from schur import BudgetExceeded
 

@@ -5,8 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from schur import permaction
 from schur import (
     AbelianGroup,
+    PermGroup,
     automorphisms,
     cayley_scheme,
     cyclotomic,
@@ -19,6 +21,7 @@ from schur import (
 )
 from schur.group import full_subgroup, subgroup
 from schur.schurity import intermediate_count, scheme_matrix, verify_scheme_axioms
+from schur.verify import cyclotomic_partition_orbits, labels_to_classes
 
 from conftest import rings_over
 
@@ -103,6 +106,40 @@ def test_aut_order_matches_brute_force_over_z9(rings_z9):
             if np.array_equal(m[np.ix_(f, f)], m):
                 count += 1
         assert scheme_automorphisms(ring).order() == count
+
+
+def test_search_order_and_stabilizer_match_schreier_sims(rings_z3z9):
+    # independent check: a fresh group on the same generators gets its order
+    # and e-stabilizer from an unseeded Schreier-Sims chain, not the search
+    g81 = AbelianGroup([3, 27])
+    reps, _ = cyclotomic_partition_orbits(g81)
+    rings = list(rings_z3z9)
+    rings += [validate(g81, labels_to_classes(lbl)) for lbl in reps[:10]]
+    rings += rings_over(5, 5)
+    nonschurian = 0
+    for ring in rings:
+        rep = is_schurian(ring)
+        if ring.group.size == 25 and rep.schurian:
+            continue
+        nonschurian += not rep.schurian
+        fresh = PermGroup(rep.aut.generators, ring.group.size)
+        assert rep.aut_order == fresh.order()
+        assert rep.stabilizer_orbits == fresh.point_stabilizer(0).orbits()
+        assert rep.aut.point_stabilizer(0).order() == fresh.point_stabilizer(0).order()
+    assert nonschurian == 125
+
+
+def test_schurity_builds_no_chain_above_rank_2(rings_z3z3, monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("stabilizer chain built")
+
+    monkeypatch.setattr(permaction, "_build_chain", no_chain)
+    rings = [r for r in rings_z3z3 if r.rank > 2]
+    rings += [r for r in rings_over(5, 5) if r.rank > 2][:20]
+    for ring in rings:
+        rep = is_schurian(ring)
+        # reads the memoized stabilizer's order, so it builds no chain either
+        rep.aut.point_stabilizer(0).has_faithful_regular_orbit()
 
 
 def test_stabilizer_orbits_within_classes(rings_z3z3):
