@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import group as grp
+from . import permaction as pa
 from . import sring as sr
 
 
@@ -22,23 +23,7 @@ def cyclotomic(group, maps):
     for f in maps:
         if f.src != group or f.dst != group or not f.bijective or not f.is_homomorphism():
             raise ValueError("cyclotomic construction requires automorphisms of G")
-    parent = list(range(group.size))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for f in maps:
-        for i, t in enumerate(f.table):
-            ri, rt = find(i), find(t)
-            if ri != rt:
-                parent[ri] = rt
-    blocks = {}
-    for i in range(group.size):
-        blocks.setdefault(find(i), set()).add(i)
-    return sr.validate(group, blocks.values())
+    return sr.validate(group, pa.PermGroup([f.table for f in maps], group.size).orbits())
 
 
 def map_group_closure(maps):

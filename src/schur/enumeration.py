@@ -1,16 +1,24 @@
 """Complete enumeration of all S-rings over a small abelian group.
 
-The search assigns the class of the least unassigned element, choosing it
-as a subset of the unassigned elements; candidate subsets are generated in
-size-ascending lexicographic order.  Three pruning rules, always on, steer
+The search assigns the class X of the least unassigned element, the pivot,
+choosing it as a subset of the unassigned elements; candidate classes are
+tried in size-ascending lexicographic order.  Two rules, always on, steer
 the search:
 
-  (a) inverse closure -- the m = -1 power map: a completed class's inverse
-      image must be a completed class or stay inside unassigned territory;
-  (b) multiplier closure for the other m coprime to |G|: same condition for
-      every power image; when the pivot already lies in a power image of a
-      completed class, its class is forced outright with no branching;
-  (c) partial module closure: products of completed class sums must be
+  (a) multipliers -- by Schur's theorem on multipliers, X^(m) is a basic
+      set for every m coprime to |G| (inverse closure is the case m = -1).
+      Let M be the group of these power maps.  If the pivot lies in a
+      power image of a completed class, that image is its class, with no
+      branching.  Otherwise the pivot's whole M-orbit is unassigned, so no
+      power image of X is a completed class: with K = {m in M : X^(m) = X},
+      every m outside K maps X to an unassigned set disjoint from X.  Hence
+      X meets each M-orbit in at most one K-orbit y^K, that M-orbit is
+      wholly unassigned, and Stab_M(y) <= K; conversely every such union
+      passes.  The candidates are, for each subgroup K >= Stab_M(pivot),
+      pivot^K plus none or one such K-orbit from each other M-orbit, all
+      within the elements the pivot's profile allows: a plain product, and
+      distinct K give distinct classes;
+  (b) partial module closure: products of completed class sums must be
       constant on every completed class, and every element of a candidate
       class must agree with the pivot on all product coefficients seen so
       far.
@@ -24,6 +32,7 @@ not published values.
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -45,10 +54,21 @@ class _Search:
         self.deadline = deadline
         self.stats = stats
         exp = group.exponent
-        self.mults = [
-            (m, group.power_map(m), group.power_map(pow(m, -1, exp)))
-            for m in group.multiplier_exponents()
-            if m != 1
+        mults = group.multiplier_exponents()
+        power = {m: group.power_map(m) for m in mults}
+        self.mults = [(power[m], power[pow(m, -1, exp)]) for m in mults if m != 1]
+        # For the multiplier rule (module docstring), per element y: its orbit
+        # under the multiplier group M (sorted, so [0] names it), Stab_M(y),
+        # and per subgroup K of M the K-orbit y^K.  M = {1} when exp(G) = 1.
+        elems = range(self.n)
+        self.orbit = [np.array(sorted({int(pm[y]) for pm in power.values()})) for y in elems]
+        self.stab = [frozenset(m for m in mults if power[m][y] == y) for y in elems]
+        subgroups = [{1}]
+        if exp > 1:
+            subgroups = grp._abstract_subgroups(mults, lambda a, b: a * b % exp, 1)
+        self.blocks = [
+            (sub, [tuple(sorted({int(power[m][y]) for m in sub})) for y in elems])
+            for sub in subgroups
         ]
         self.class_of = np.full(self.n, -1, dtype=np.int64)
         self.class_of[0] = 0
@@ -96,15 +116,30 @@ class _Search:
         if forced is not None:
             ok, cand = forced
             return [cand] if ok else []
-        eligible = [int(i) for i in np.nonzero(self.class_of < 0)[0] if i > pivot]
+        free = self.class_of < 0
+        eligible = [int(i) for i in np.nonzero(free)[0] if i > pivot]
         if self.rows:
             prof = np.array(self.rows)
             keep = np.all(prof[:, eligible] == prof[:, [pivot]], axis=0)
             self.stats["profile_filtered"] += len(eligible) - int(keep.sum())
             eligible = [y for y, k in zip(eligible, keep) if k]
+        allowed = set(eligible) | {pivot}
+        home = self.orbit[pivot][0]
+        others = [
+            y for y in eligible if self.orbit[y][0] != home and free[self.orbit[y]].all()
+        ]
         found = []
-        status = {m: None for m, _, _ in self.mults}
-        self._grow(pivot, eligible, 0, [pivot], set([pivot]), status, found)
+        for sub, block in self.blocks:
+            if not (self.stab[pivot] <= sub and allowed.issuperset(block[pivot])):
+                continue
+            options = {}
+            for y in others:
+                if self.stab[y] <= sub and allowed.issuperset(block[y]):
+                    options.setdefault(self.orbit[y][0], {()}).add(block[y])
+                else:
+                    self.stats["prune_multiplier"] += 1
+            for pick in itertools.product(*options.values()):
+                found.append(tuple(sorted(itertools.chain(block[pivot], *pick))))
         found.sort(key=lambda t: (len(t), t))
         self.stats["candidates"] += len(found)
         return [frozenset(t) for t in found]
@@ -114,7 +149,7 @@ class _Search:
 
         Returns None when nothing forces, else (ok, candidate)."""
         outcome = None
-        for m, pm, pminv in self.mults:
+        for pm, pminv in self.mults:
             x = int(pminv[pivot])
             ci = int(self.class_of[x])
             if ci < 0:
@@ -131,96 +166,6 @@ class _Search:
             self.stats["prune_forced"] += 1
             return (False, None)
         return (True, outcome)
-
-    def _grow(self, pivot, eligible, idx, chosen, chosen_set, status, found):
-        if idx == len(eligible):
-            if self._finalize(chosen_set):
-                found.append(tuple(chosen))
-            return
-        y = eligible[idx]
-        # exclude y
-        if self._can_exclude(y, chosen_set, status):
-            self._grow(pivot, eligible, idx + 1, chosen, chosen_set, status, found)
-        # include y
-        new_status = dict(status)
-        if self._can_include(y, eligible, idx, chosen, chosen_set, new_status):
-            chosen.append(y)
-            chosen_set.add(y)
-            self._grow(pivot, eligible, idx + 1, chosen, chosen_set, new_status, found)
-            chosen.pop()
-            chosen_set.remove(y)
-
-    def _can_exclude(self, y, chosen_set, status):
-        for m, pm, pminv in self.mults:
-            if status[m] == "in" and int(pminv[y]) in chosen_set:
-                self.stats["prune_multiplier"] += 1
-                return False
-        return True
-
-    def _can_include(self, y, eligible, idx, chosen, chosen_set, status):
-        future = set(eligible[idx + 1:])
-        for m, pm, pminv in self.mults:
-            z = int(pm[y])
-            verdict = self._register(m, z, y, chosen, chosen_set, future, status)
-            if not verdict:
-                self.stats["prune_multiplier"] += 1
-                return False
-            w = int(pminv[y])
-            if w in chosen_set or w == y:
-                if not self._set_status(m, "in", chosen + [y], chosen_set | {y}, future, status):
-                    self.stats["prune_multiplier"] += 1
-                    return False
-        return True
-
-    def _register(self, m, z, y, chosen, chosen_set, future, status):
-        if z in chosen_set or z == y:
-            return self._set_status(m, "in", chosen + [y], chosen_set | {y}, future, status)
-        ci = int(self.class_of[z])
-        if ci >= 0:
-            return self._set_status(m, ci, chosen + [y], chosen_set | {y}, future, status)
-        if z not in future:
-            # z can no longer join the class
-            if status[m] == "in":
-                return False
-        return True
-
-    def _set_status(self, m, new, members, member_set, future, status):
-        if status[m] == new:
-            return True
-        if status[m] is not None:
-            return False
-        pm = next(p for mm, p, _ in self.mults if mm == m)
-        if new == "in":
-            for x in members:
-                z = int(pm[x])
-                if z not in member_set and z not in future:
-                    return False
-        else:
-            for x in members:
-                if int(self.class_of[pm[x]]) != new:
-                    return False
-        status[m] = new
-        return True
-
-    def _finalize(self, chosen_set):
-        arr = np.array(sorted(chosen_set), dtype=np.int64)
-        for m, pm, _ in self.mults:
-            img = frozenset(int(v) for v in pm[arr])
-            if img == chosen_set:
-                continue
-            hit = {int(self.class_of[i]) for i in img}
-            if hit == {-1}:
-                if img & chosen_set:
-                    self.stats["prune_multiplier"] += 1
-                    return False
-                continue
-            if len(hit) == 1:
-                ci = hit.pop()
-                if ci >= 0 and img == self.completed[ci][0]:
-                    continue
-            self.stats["prune_multiplier"] += 1
-            return False
-        return True
 
     # -- assignment --------------------------------------------------------------
 
@@ -253,6 +198,10 @@ class _Search:
 
 
 def _new_stats():
+    """Zeroed search counters.  `prune_multiplier` counts, per unforced node
+    and subgroup K of the multiplier group, the eligible elements of other
+    wholly unassigned multiplier orbits that K rejects: y^K leaves the
+    allowed elements, or Stab_M(y) is not inside K."""
     return {
         "nodes": 0,
         "leaves": 0,
@@ -286,10 +235,11 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
     are split into `jobs` strided slices, each searched on its own; with
     jobs <= 1 the one slice runs in this process, otherwise each slice runs
     in a worker process.  The result and the stats do not depend on `jobs`.
-    `time_limit` (seconds) is one deadline shared by every slice.  Search
-    counters are added into `stats` in place, if given; when the deadline
-    passes, every slice's counters so far are added all the same, and then
-    BudgetExceeded is raised with the nodes searched and the rings found.
+    `time_limit` (seconds) is one deadline shared by the root and every
+    slice.  Search counters (see `_new_stats`) are added into `stats` in
+    place, if given; when the deadline passes, even at the root, the counters
+    so far are added all the same, and then BudgetExceeded is raised with the
+    nodes searched and the rings found.
     """
     if group.size > cap:
         raise CapExceeded("enumeration over order %d exceeds cap %d" % (group.size, cap))
@@ -297,19 +247,23 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
         warnings.warn("enumerating S-rings over order %d may take a long time" % group.size)
     deadline = time.monotonic() + time_limit if time_limit else None
     root = _Search(group, deadline, _new_stats())
-    root._tick()
-    pivot = root._least_unassigned()
-    parts = [(root.results, root.stats, False)]
-    if pivot is None:  # the trivial group: the root is its only leaf
-        root._leaf()
-    else:
-        roots = root.candidates(pivot)
-        if jobs <= 1:
-            parts.append(_run_slice(group, roots, deadline))
+    roots, timed_out = [], False
+    try:
+        root._tick()
+        pivot = root._least_unassigned()
+        if pivot is None:  # the trivial group: the root is its only leaf
+            root._leaf()
         else:
-            slices = [roots[i::jobs] for i in range(jobs)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts += pool.map(_run_slice, [group] * jobs, slices, [deadline] * jobs)
+            roots = root.candidates(pivot)
+    except BudgetExceeded:
+        timed_out = True
+    parts = [(root.results, root.stats, timed_out)]
+    if roots and jobs <= 1:
+        parts.append(_run_slice(group, roots, deadline))
+    elif roots:
+        slices = [roots[i::jobs] for i in range(jobs)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts += pool.map(_run_slice, [group] * jobs, slices, [deadline] * jobs)
     keys = set()
     merged = _new_stats()
     for part_keys, part_stats, _ in parts:

@@ -9,12 +9,15 @@ of the default chain.
 Two memos sit in front of the chain: `order()` keeps its value in `_order`
 and `point_stabilizer(point)` keeps each stabilizer in `_stabilizers`.  The
 automorphism search in `schurity` fills both for the group it returns (its
-order and the stabilizer of e come out of the search itself), so those two
-calls build no chain there; `contains()`, `chain()` and stabilizers of other
+order and the stabilizer of e come out of the search itself), and
+`symmetric_group` fills both from n! and Sym(n-1), so those two calls build
+no chain there; `contains()`, `chain()` and stabilizers of other
 points still do.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -292,13 +295,26 @@ def right_translations(group):
 
 
 def symmetric_group(degree):
-    """Sym(degree) from an n-cycle and an (n-1)-cycle; never enumerated."""
+    """Sym(degree) from an n-cycle and an (n-1)-cycle; never enumerated.
+
+    Its order n! and the stabilizer of 0, Sym on 1..n-1 from the cycle
+    (1 ... n-1) and the transposition (1 2), are filled in, so neither
+    builds a stabilizer chain."""
     if degree <= 1:
         return PermGroup([], max(degree, 1))
     full = np.roll(np.arange(degree, dtype=np.int64), -1)
     sub = np.arange(degree, dtype=np.int64)
     sub[: degree - 1] = np.roll(sub[: degree - 1], -1)
-    return PermGroup([full, sub], degree)
+    sym = PermGroup([full, sub], degree)
+    sym._order = math.factorial(degree)
+    cycle = np.arange(degree, dtype=np.int64)
+    cycle[1:] = np.roll(cycle[1:], -1)
+    swap = np.arange(degree, dtype=np.int64)
+    swap[1:3] = swap[1:3][::-1]
+    stab = PermGroup([cycle, swap], degree)
+    stab._order = math.factorial(degree - 1)
+    sym._stabilizers[0] = stab
+    return sym
 
 
 def two_equivalent(p1, p2):

@@ -178,8 +178,8 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET):
 
     Always contains the right translations.  Rank <= 2 short-circuits to the
     symmetric group, which is returned by generators and never enumerated.
-    Otherwise the returned group already knows its order and its stabilizer
-    of e, both read off the search (see the module docstring).
+    Either way the returned group already knows its order and its stabilizer
+    of e: n! and Sym(n-1), or read off the search (see the module docstring).
     """
     g = ring.group
     n = g.size
@@ -281,11 +281,12 @@ def is_schurian(ring, node_budget=DEFAULT_NODE_BUDGET):
 
     Orbits of the stabilizer are always contained in classes, so the ring is
     schurian iff every class is a single orbit; otherwise the witness names a
-    split class.  For rank > 2, Aut_e and |Aut| come from the automorphism
-    search itself: Aut_e is generated by the generators it found beyond the
-    right translations, and |Aut| is the product of the orbit sizes along its
-    first path (McKay's argument, see the module docstring); no stabilizer
-    chain is built.
+    split class.  No stabilizer chain is built.  For rank <= 2, Aut is
+    Sym(G), whose order and e-stabilizer `symmetric_group` fills in.  For
+    rank > 2, Aut_e and |Aut| come from the automorphism search itself: Aut_e
+    is generated by the generators it found beyond the right translations,
+    and |Aut| is the product of the orbit sizes along its first path
+    (McKay's argument, see the module docstring).
     """
     aut = scheme_automorphisms(ring, node_budget)
     stab = aut.point_stabilizer(0)

@@ -19,6 +19,7 @@ from . import sring as sr
 from .enumeration import classify_up_to_cayley, enumerate_srings
 from .errors import BudgetExceeded
 from .groupring import set_product_vector
+from .permaction import orbit_of
 
 
 # -- cyclotomic partition closure ---------------------------------------------
@@ -616,22 +617,7 @@ def check_cyclic_class_shapes(ring):
     auts = grp.automorphisms(g)
     for c in ring.classes:
         stab = [f for f in auts if f.apply_set(c) == c]
-        orbits = {}
-        parent = list(range(g.size))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for f in stab:
-            for i, t in enumerate(f.table):
-                ri, rt = find(i), find(t)
-                if ri != rt:
-                    parent[ri] = rt
-        rep = find(next(iter(c)))
-        orbit = frozenset(i for i in range(g.size) if find(i) == rep)
+        orbit = orbit_of([f.table for f in stab], next(iter(c)))
         if orbit == c:
             continue
         gen = sr.generated(g, c).members

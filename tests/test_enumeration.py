@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from schur import AbelianGroup, BudgetExceeded, CapExceeded, automorphisms
 from schur.enumeration import (
     _new_stats,
+    _Search,
     classify_up_to_cayley,
     enumerate_srings,
     enumerate_srings_brute,
@@ -92,6 +94,85 @@ def test_time_out_keeps_the_progress_made(jobs):
         enumerate_srings(AbelianGroup([2, 2, 4]), jobs=jobs, time_limit=0.2, stats=stats)
     # the root ticks once; more nodes can only come from the slices
     assert stats["nodes"] > 1
+
+
+def test_time_out_at_the_root_keeps_its_progress():
+    stats = _new_stats()
+    with pytest.raises(BudgetExceeded, match=r"after [1-9][0-9]* nodes, [0-9]+ rings found"):
+        enumerate_srings(AbelianGroup([3, 9]), time_limit=1e-9, stats=stats)
+    assert stats["nodes"] >= 1
+
+
+class _OracleSearch(_Search):
+    """Checks every unforced node's candidate classes against all subsets."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.unforced = 0
+
+    def candidates(self, pivot):
+        got = super().candidates(pivot)
+        if self._forced_candidate(pivot) is None:
+            self.unforced += 1
+            assert got == sorted(got, key=lambda c: (len(c), sorted(c)))
+            assert set(got) == self._brute_candidates(pivot)
+            assert len(set(got)) == len(got)
+        return got
+
+    def _brute_candidates(self, pivot):
+        g = self.group
+        powers = [g.power_map(m) for m in g.multiplier_exponents()]
+        completed = {c for c, _ in self.completed}
+        unassigned = {y for y in range(self.n) if self.class_of[y] < 0}
+        allowed = [
+            y
+            for y in sorted(unassigned)
+            if y > pivot and all(row[y] == row[pivot] for row in self.rows)
+        ]
+        out = set()
+        for size in range(len(allowed) + 1):
+            for rest in itertools.combinations(allowed, size):
+                x = frozenset((pivot,) + rest)
+                images = [frozenset(int(pm[i]) for i in x) for pm in powers]
+                if all(
+                    img == x or img in completed or (img <= unassigned and not img & x)
+                    for img in images
+                ):
+                    out.add(x)
+        return out
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [[9], [3, 3], [8], [2, 4], [2, 2, 2], [12], [2, 6], [10], [16], [2, 8], [4, 4], [15]],
+)
+def test_candidates_match_subset_oracle(orders):
+    g = AbelianGroup(orders)
+    search = _OracleSearch(g, None, _new_stats())
+    search._extend()
+    assert search.unforced > 0
+    assert sorted(search.results) == [r.canonical_key() for r in enumerate_srings(g)]
+
+
+@pytest.mark.parametrize(
+    "orders, nodes, candidates, leaves, profile_filtered, prune_module",
+    [
+        ([27], 136, 75, 25, 114, 29),
+        ([2, 8], 574, 715, 163, 588, 283),
+        ([3, 9], 2426, 3810, 391, 4291, 2698),
+    ],
+)
+def test_search_shape_regression(orders, nodes, candidates, leaves, profile_filtered, prune_module):
+    # regression constants of this search (no published values)
+    stats = _new_stats()
+    rings = enumerate_srings(AbelianGroup(orders), stats=stats)
+    assert len(rings) == leaves
+    assert stats["nodes"] == nodes
+    assert stats["candidates"] == candidates
+    assert stats["leaves"] == leaves
+    assert stats["profile_filtered"] == profile_filtered
+    assert stats["prune_module"] == prune_module
+    assert stats["leaf_rejects"] == stats["prune_forced"] == 0
 
 
 def test_warns_above_27_and_honors_time_limit():

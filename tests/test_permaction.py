@@ -91,7 +91,12 @@ def test_symmetric_group_shortcut():
     for n in (2, 3, 5, 9):
         assert symmetric_group(n).order() == math.factorial(n)
     s9 = symmetric_group(9)
-    assert s9.point_stabilizer(0).order() == math.factorial(8)
+    stab = s9.point_stabilizer(0)
+    assert stab.order() == math.factorial(8)
+    # the memoized stabilizer fixes 0 and its generators really give Sym(8)
+    assert all(int(g[0]) == 0 for g in stab.generators)
+    assert PermGroup(stab.generators, 9).order() == math.factorial(8)
+    assert stab.orbits() == [(0,), tuple(range(1, 9))]
 
 
 def test_orbitals():

@@ -142,6 +142,20 @@ def test_schurity_builds_no_chain_above_rank_2(rings_z3z3, monkeypatch):
         rep.aut.point_stabilizer(0).has_faithful_regular_orbit()
 
 
+@pytest.mark.parametrize("orders", [[5, 5], [3, 9]])
+def test_rank_2_schurity_builds_no_chain(orders, monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("stabilizer chain built")
+
+    monkeypatch.setattr(permaction, "_build_chain", no_chain)
+    g = AbelianGroup(orders)
+    n = g.size
+    rep = is_schurian(validate(g, [[0], range(1, n)]))
+    assert rep.schurian
+    assert rep.aut_order == math.factorial(n)
+    assert rep.stabilizer_orbits == [(0,), tuple(range(1, n))]
+
+
 def test_stabilizer_orbits_within_classes(rings_z3z3):
     for ring in rings_z3z3:
         rep = is_schurian(ring)
