@@ -42,7 +42,7 @@ import numpy as np
 from . import group as grp
 from . import sring as sr
 from .errors import BudgetExceeded, CapExceeded
-from .groupring import set_product_vector
+from .groupring import class_products
 
 DEFAULT_ENUM_CAP = 81
 
@@ -72,6 +72,7 @@ class _Search:
         ]
         self.class_of = np.full(self.n, -1, dtype=np.int64)
         self.class_of[0] = 0
+        self.rep = np.zeros(self.n, dtype=np.int64)  # each assigned element's class minimum
         self.completed = [(frozenset([0]), np.array([0], dtype=np.int64))]
         self.rows = []  # product vectors of completed non-identity class pairs
         self._rows_added = []
@@ -170,24 +171,25 @@ class _Search:
     # -- assignment --------------------------------------------------------------
 
     def _assign(self, members):
+        """Make `members` the next class if partial module closure holds.
+
+        One `class_products` call gives X*C for every assigned class C and
+        X*X; each such row must be constant on every assigned class, which
+        is one comparison against the class's first member (`rep`).  Rows
+        for products of earlier classes were checked when those were
+        assigned, and the row X*{e} = X is constant on every class."""
         arr = np.array(sorted(members), dtype=np.int64)
-        new_rows = []
-        for c, carr in self.completed[1:]:
-            new_rows.append(set_product_vector(self.group, carr, arr))
-        new_rows.append(set_product_vector(self.group, arr, arr))
-        for row in new_rows:
-            for c, carr in self.completed[1:]:
-                vals = row[carr]
-                if int(vals.max()) != int(vals.min()):
-                    self.stats["prune_module"] += 1
-                    return False
-            vals = row[arr]
-            if int(vals.max()) != int(vals.min()):
-                self.stats["prune_module"] += 1
-                return False
-        self.rows.extend(new_rows)
-        self._rows_added.append(len(new_rows))
-        self.class_of[arr] = len(self.completed)
+        k = len(self.completed)
+        self.class_of[arr] = k
+        self.rep[arr] = arr[0]
+        assigned = np.flatnonzero(self.class_of >= 0)
+        rows = class_products(self.group, arr, assigned, self.class_of[assigned], k + 1)[1:]
+        if not (rows[:, assigned] == rows[:, self.rep[assigned]]).all():
+            self.class_of[arr] = -1
+            self.stats["prune_module"] += 1
+            return False
+        self.rows.extend(rows)
+        self._rows_added.append(len(rows))
         self.completed.append((frozenset(int(i) for i in arr), arr))
         return True
 

@@ -98,12 +98,27 @@ def multiply(u, v):
     return GroupRingElement(g, out)
 
 
+def _index_array(xs):
+    if isinstance(xs, np.ndarray):
+        return xs.astype(np.int64, copy=False)
+    return np.fromiter(xs, dtype=np.int64)
+
+
 def set_product_vector(group, xs, ys):
-    """Coefficient vector of underline(X)*underline(Y) for index arrays X, Y."""
-    xa = np.asarray(sorted(xs), dtype=np.int64)
-    ya = np.asarray(sorted(ys), dtype=np.int64)
-    if xa.size == 0 or ya.size == 0:
-        return np.zeros(group.size, dtype=np.int64)
-    return np.bincount(
-        group.mul_table[np.ix_(xa, ya)].ravel(), minlength=group.size
-    ).astype(np.int64)
+    """Coefficient vector of underline(X)*underline(Y) for X, Y given as
+    iterables of element indices, in any order; an empty side gives 0."""
+    xa, ya = _index_array(xs), _index_array(ys)
+    return np.bincount(group.mul_table[xa[:, None], ya].ravel(), minlength=group.size)
+
+
+def class_products(group, xs, members, labels, k):
+    """The k x |G| matrix whose row c is the coefficient vector of
+    underline(X)*underline(C_c), C_c = {members[j] : labels[j] == c}.
+
+    One bincount over label * |G| + (x * member) for x in X and every
+    labelled member; the counts are exact int64.  X is an index array;
+    members and labels are index arrays of equal length, labels in [0, k).
+    """
+    n = group.size
+    idx = group.mul_table[xs[:, None], members] + labels * n
+    return np.bincount(idx.ravel(), minlength=k * n).reshape(k, n)

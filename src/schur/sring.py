@@ -17,7 +17,7 @@ import numpy as np
 
 from . import group as grp
 from .errors import GroupMismatch
-from .groupring import set_product_vector
+from .groupring import class_products, set_product_vector
 
 
 class SRingViolation(Exception):
@@ -253,7 +253,13 @@ def validate(group, partition):
 
     Checks, in order: the classes partition G; {e} is a class; the class set
     is inverse-closed; every product of two class sums has a constant
-    coefficient on each class.  The violation carries minimal witnesses.
+    coefficient on each class.  For module closure, one `class_products`
+    call per class X gives X*Y for every class Y from X on, and the whole
+    matrix is compared with its values at the class representatives; the
+    products are left in the ring's product cache.  The violation carries
+    minimal witnesses: for module closure, the first pair (x, y) with
+    x <= y in lexicographic order and the least element where X*Y is not
+    constant.
     """
     classes = _canonical_classes(group, partition)
     seen = {}
@@ -280,28 +286,30 @@ def validate(group, partition):
         ic = frozenset(int(inv[i]) for i in c)
         if ic not in class_sets:
             raise SRingViolation("inverse-closure", {"class": ci})
-    reps = np.array([arr[0] for arr in ring.class_arrays], dtype=np.int64)
-    for x in range(ring.rank):
-        for y in range(x, ring.rank):
-            v = ring.product_vector(x, y)
-            expected = v[reps][ring.class_of]
-            if not np.array_equal(v, expected):
-                bad = int(np.nonzero(v != expected)[0][0])
-                z = int(ring.class_of[bad])
-                rep = int(reps[z])
-                raise SRingViolation(
-                    "module-closure",
-                    {
-                        "classes": (x, y),
-                        "on_class": z,
-                        "witness": (
-                            group.elements[rep],
-                            int(v[rep]),
-                            group.elements[bad],
-                            int(v[bad]),
-                        ),
-                    },
-                )
+    rep_of = np.array([arr[0] for arr in ring.class_arrays])[ring.class_of]
+    for x, xarr in enumerate(ring.class_arrays):
+        # row i is X*Y for y = x + i; each y < x was paired with x before
+        later = np.flatnonzero(ring.class_of >= x)
+        products = class_products(group, xarr, later, ring.class_of[later] - x, ring.rank - x)
+        bad = products != products[:, rep_of]
+        if bad.any():
+            i, b = (int(j) for j in np.argwhere(bad)[0])
+            rep = int(rep_of[b])
+            raise SRingViolation(
+                "module-closure",
+                {
+                    "classes": (x, x + i),
+                    "on_class": int(ring.class_of[b]),
+                    "witness": (
+                        group.elements[rep],
+                        int(products[i, rep]),
+                        group.elements[b],
+                        int(products[i, b]),
+                    ),
+                },
+            )
+        for i, row in enumerate(products):
+            ring._products[(x, x + i)] = row
     return ring
 
 

@@ -18,7 +18,6 @@ from . import schurity as sch
 from . import sring as sr
 from .enumeration import classify_up_to_cayley, enumerate_srings
 from .errors import BudgetExceeded
-from .groupring import set_product_vector
 from .permaction import orbit_of
 
 

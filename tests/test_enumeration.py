@@ -89,9 +89,15 @@ def test_parallel_jobs_share_one_deadline():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_time_out_keeps_the_progress_made(jobs):
+    g = AbelianGroup([2, 2, 4])
+    start = time.monotonic()
+    enumerate_srings(g)
+    # a quarter of the serial time: too little for the whole search at
+    # either jobs, enough for the slices to search past the root
+    limit = (time.monotonic() - start) / 4
     stats = _new_stats()
     with pytest.raises(BudgetExceeded, match="after [1-9][0-9]* nodes"):
-        enumerate_srings(AbelianGroup([2, 2, 4]), jobs=jobs, time_limit=0.2, stats=stats)
+        enumerate_srings(g, jobs=jobs, time_limit=limit, stats=stats)
     # the root ticks once; more nodes can only come from the slices
     assert stats["nodes"] > 1
 
@@ -160,6 +166,9 @@ def test_candidates_match_subset_oracle(orders):
         ([27], 136, 75, 25, 114, 29),
         ([2, 8], 574, 715, 163, 588, 283),
         ([3, 9], 2426, 3810, 391, 4291, 2698),
+        ([4, 4], 1950, 4569, 537, 2398, 3008),
+        ([2, 2, 4], 3534, 9973, 1121, 3245, 6731),
+        ([5, 5], 2762, 9627, 458, 3837, 8531),
     ],
 )
 def test_search_shape_regression(orders, nodes, candidates, leaves, profile_filtered, prune_module):

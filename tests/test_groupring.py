@@ -109,3 +109,22 @@ def test_set_product_vector_matches_multiply():
         sum_of_set(g, [g.elements[i] for i in ys]),
     )
     assert np.array_equal(set_product_vector(g, xs, ys), direct.coeffs)
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([4, 1, 13], [20, 2]),
+        ({26, 0, 5}, frozenset([3, 9, 1])),
+        (np.array([17, 8, 9]), [6, 0]),
+        (np.array([], dtype=np.int64), [1, 2]),
+        ([3, 4], []),
+        ((), set()),
+    ],
+)
+def test_set_product_vector_takes_any_index_iterable(xs, ys):
+    g = AbelianGroup([3, 9])
+    direct = multiply(
+        sum_of_set(g, [int(i) for i in xs]), sum_of_set(g, [int(i) for i in ys])
+    )
+    assert np.array_equal(set_product_vector(g, xs, ys), direct.coeffs)

@@ -1,10 +1,13 @@
+import itertools
 import json
+import random
 
 import pytest
 
 from schur import AbelianGroup, SRingViolation, canonical_c1, cayley_isomorphic, validate
 from schur import generated, radical
 from schur.group import subgroup
+from schur.groupring import multiply, sum_of_set
 from schur.sring import SectionRef, from_json
 
 from conftest import rings_over
@@ -54,6 +57,58 @@ def test_module_closure_violation_carries_witness():
         validate(g, worse)
     assert e.value.kind == "module-closure"
     assert "witness" in e.value.detail
+
+
+def _reference_closure_violation(g, classes):
+    """validate's module-closure detail, from `multiply` pair by pair."""
+    class_of = {i: ci for ci, c in enumerate(classes) for i in c}
+    sums = [sum_of_set(g, sorted(c)) for c in classes]
+    for x in range(len(classes)):
+        for y in range(x, len(classes)):
+            v = multiply(sums[x], sums[y]).coeffs
+            for b in range(g.size):
+                z = class_of[b]
+                rep = min(classes[z])
+                if v[b] != v[rep]:
+                    return {
+                        "classes": (x, y),
+                        "on_class": z,
+                        "witness": (g.elements[rep], int(v[rep]), g.elements[b], int(v[b])),
+                    }
+    return None
+
+
+@pytest.mark.parametrize("orders", [[9], [3, 3], [2, 4], [3, 9]])
+def test_module_closure_verdict_and_witness_match_pairwise_products(orders):
+    g = AbelianGroup(orders)
+    inv = g.inv_table
+    rng = random.Random(sum(orders))
+    verdicts = set()
+    for _ in range(80):
+        # the common refinement of a random partition and its inverse image
+        # is inverse-closed
+        k = rng.randint(1, 4)
+        p = [rng.randrange(k) for _ in range(g.size)]
+        blocks = {}
+        for i in range(1, g.size):
+            blocks.setdefault((p[i], p[int(inv[i])]), []).append(i)
+        classes = sorted([[0]] + list(blocks.values()), key=min)
+        expected = _reference_closure_violation(g, [frozenset(c) for c in classes])
+        try:
+            ring = validate(g, classes)
+            got = None
+        except SRingViolation as e:
+            assert e.kind == "module-closure"
+            got = e.detail
+        assert got == expected, classes
+        verdicts.add(got is None)
+        if got is None:  # validate leaves its products in the ring's cache
+            sums = [sum_of_set(g, c) for c in classes]
+            for x, y in itertools.combinations_with_replacement(range(ring.rank), 2):
+                v = multiply(sums[x], sums[y]).coeffs
+                assert (ring.product_vector(x, y) == v).all()
+                assert (ring.product_vector(y, x) == v).all()
+    assert verdicts == {True, False}
 
 
 def test_structure_constants():
