@@ -56,7 +56,13 @@ class _Search:
         exp = group.exponent
         mults = group.multiplier_exponents()
         power = {m: group.power_map(m) for m in mults}
-        self.mults = [(power[m], power[pow(m, -1, exp)]) for m in mults if m != 1]
+        # powers[j] is the power map x -> x^m of the j-th multiplier m != 1,
+        # and roots[y, j] the preimage of y under it
+        others = [m for m in mults if m != 1]
+        self.powers = np.array([power[m] for m in others], dtype=np.int64).reshape(-1, self.n)
+        self.roots = np.array(
+            [power[pow(m, -1, exp)] for m in others], dtype=np.int64
+        ).reshape(-1, self.n).T
         # For the multiplier rule (module docstring), per element y: its orbit
         # under the multiplier group M (sorted, so [0] names it), Stab_M(y),
         # and per subgroup K of M the K-orbit y^K.  M = {1} when exp(G) = 1.
@@ -149,16 +155,13 @@ class _Search:
         """Pivot class dictated by a power image of a completed class.
 
         Returns None when nothing forces, else (ok, candidate)."""
+        forcing = self.class_of[self.roots[pivot]]
         outcome = None
-        for pm, pminv in self.mults:
-            x = int(pminv[pivot])
-            ci = int(self.class_of[x])
-            if ci < 0:
-                continue
-            cand = frozenset(int(pm[i]) for i in self.completed[ci][1])
+        for j in np.flatnonzero(forcing >= 0):
+            image = frozenset(self.powers[j, self.completed[forcing[j]][1]].tolist())
             if outcome is None:
-                outcome = cand
-            elif outcome != cand:
+                outcome = image
+            elif outcome != image:
                 self.stats["prune_forced"] += 1
                 return (False, None)
         if outcome is None:

@@ -11,6 +11,11 @@ straight into the stabilizer of e.  Generators found along the way prune
 sibling branches via orbit computations; the result is deterministic as a
 set of generators.
 
+The first path (always the first vertex of the branch cell) is refined
+once: `build` records each of its steps, and `find_one`, which looks for an
+automorphism mapping the first path onto a candidate path, reads its side
+from that record and refines only the candidate side.
+
 The search also yields |Aut| and the stabilizer of e, so no Schreier-Sims
 chain is needed for them.  The generators found below a node of the first
 path, together with those found at it, generate the stabilizer of that
@@ -173,31 +178,45 @@ def _branch_index(cells):
 # -- the search ---------------------------------------------------------------
 
 
-def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET):
+def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
     """Generators of the full color-preserving group of the ring's scheme.
 
     Always contains the right translations.  Rank <= 2 short-circuits to the
     symmetric group, which is returned by generators and never enumerated.
     Either way the returned group already knows its order and its stabilizer
     of e: n! and Sym(n-1), or read off the search (see the module docstring).
+
+    `node_budget` counts refinements: each individualized vertex, on the
+    first path or a candidate path, is one node, and the first path is
+    refined only once.  Counters are added into `stats` in place, if given:
+    `nodes` (refinements), `generators` (of the returned group, translations
+    included) and `depth` (the length of the first path).  When the budget
+    runs out, the counters so far are added all the same, and then
+    BudgetExceeded is raised with the nodes searched and the generators
+    found.
     """
     g = ring.group
     n = g.size
-    if n == 1:
-        return pa.PermGroup([], 1)
-    if ring.rank <= 2:
-        return pa.symmetric_group(n)
+    if n == 1 or ring.rank <= 2:
+        aut = pa.PermGroup([], 1) if n == 1 else pa.symmetric_group(n)
+        _add_stats(stats, 0, len(aut.generators), 0)
+        return aut
     m = scheme_matrix(ring)
     rank = ring.rank
     gens = list(pa.right_translations(g).generators)
     translations = len(gens)
     nodes = 0
+    # first-path steps (branch index, vertex, refined cells, trace), by depth
+    path = []
 
     def ind_ref(cells, ci, v):
         nonlocal nodes
+        if nodes == node_budget:
+            raise BudgetExceeded(
+                "automorphism search exceeded its node budget after %d nodes, "
+                "%d generators found" % (nodes, len(gens))
+            )
         nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded("automorphism search exceeded %d nodes" % node_budget)
         return _refine(m, rank, _individualize(cells, ci, v))
 
     def leaf_perm(c1, c2):
@@ -208,30 +227,38 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET):
             return f
         return None
 
-    def find_one(c1, c2):
-        if len(c1) == n:
-            return leaf_perm(c1, c2)
-        i = _branch_index(c1)
-        v = int(c1[i][0])
-        s1, f1 = ind_ref(c1, i, v)
+    def find_one(depth, c2):
+        """An automorphism mapping the first path from `depth` on onto a path
+        below the candidate partition c2, or None.
+
+        The first-path side is read from `path`, so only the candidate side
+        is refined."""
+        if depth == len(path):
+            return leaf_perm(path[-1][2], c2)
+        i, _, _, f1 = path[depth]
         for w in c2[i]:
             s2, f2 = ind_ref(c2, i, int(w))
             if f2 != f1:
                 continue
-            r = find_one(s1, s2)
+            r = find_one(depth + 1, s2)
             if r is not None:
                 return r
         return None
 
-    def build(cells, fixed):
-        """Extend gens to generate the stabilizer of `fixed`; its order."""
+    def build(cells):
+        """Extend gens to generate the stabilizer of the first-path vertices
+        fixed so far; its order.  Records each first-path step in `path`
+        before descending, so the first path is refined once."""
         if len(cells) == n:
             return 1
+        depth = len(path)
+        fixed = [v for _, v, _, _ in path]
         i = _branch_index(cells)
         cell = cells[i]
         v = int(cell[0])
         sv, fv = ind_ref(cells, i, v)
-        below = build(sv, fixed + [v])
+        path.append((i, v, sv, fv))
+        below = build(sv)
         fixing = [p for p in gens if all(int(p[x]) == x for x in fixed)]
         orb = pa.orbit_of(fixing, v)
         for w in cell[1:]:
@@ -241,7 +268,7 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET):
             sw, fw = ind_ref(cells, i, w)
             if fw != fv:
                 continue
-            r = find_one(sv, sw)
+            r = find_one(depth + 1, sw)
             if r is not None:
                 gens.append(r)
                 fixing.append(r)
@@ -251,13 +278,22 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET):
     # The translations make the scheme vertex-transitive, so the unit
     # partition is already stable and the first path starts at e.
     cells0, _ = _refine(m, rank, [np.arange(n, dtype=np.int64)])
-    order = build(cells0, [])
+    try:
+        order = build(cells0)
+    finally:
+        _add_stats(stats, nodes, len(gens), len(path))
     aut = pa.PermGroup(gens, n)
     stab = pa.PermGroup(gens[translations:], n)
     stab._order = order // n
     aut._order = order
     aut._stabilizers[0] = stab
     return aut
+
+
+def _add_stats(stats, nodes, generators, depth):
+    if stats is not None:
+        for k, v in (("nodes", nodes), ("generators", generators), ("depth", depth)):
+            stats[k] = stats.get(k, 0) + v
 
 
 # -- schurity -----------------------------------------------------------------
@@ -275,7 +311,7 @@ class SchurityReport:
         return self.schurian
 
 
-def is_schurian(ring, node_budget=DEFAULT_NODE_BUDGET):
+def is_schurian(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
     """Compare the e-stabilizer orbits of the full scheme automorphism group
     with the class partition.
 
@@ -286,9 +322,10 @@ def is_schurian(ring, node_budget=DEFAULT_NODE_BUDGET):
     rank > 2, Aut_e and |Aut| come from the automorphism search itself: Aut_e
     is generated by the generators it found beyond the right translations,
     and |Aut| is the product of the orbit sizes along its first path
-    (McKay's argument, see the module docstring).
+    (McKay's argument, see the module docstring).  `stats` receives the
+    search's counters, as in `scheme_automorphisms`.
     """
-    aut = scheme_automorphisms(ring, node_budget)
+    aut = scheme_automorphisms(ring, node_budget, stats)
     stab = aut.point_stabilizer(0)
     orbits = stab.orbits()
     by_class = {}

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 from schur import permaction
 from schur import (
     AbelianGroup,
+    BudgetExceeded,
     PermGroup,
     automorphisms,
     cayley_scheme,
@@ -98,21 +100,28 @@ def test_aut_contains_defining_automorphisms():
 
 def test_aut_order_matches_brute_force_over_z9(rings_z9):
     # independent oracle: filter all 9! permutations by color preservation
+    perms = np.array(list(itertools.permutations(range(9))), dtype=np.int8)
+    assert len(perms) == math.factorial(9)
     for ring in rings_z9:
         m = scheme_matrix(ring)
         count = 0
-        for p in itertools.permutations(range(9)):
-            f = np.array(p)
-            if np.array_equal(m[np.ix_(f, f)], m):
-                count += 1
+        for chunk in np.array_split(perms, 16):
+            images = m[chunk[:, :, None], chunk[:, None, :]]
+            count += int((images == m).all(axis=(1, 2)).sum())
         assert scheme_automorphisms(ring).order() == count
+
+
+@functools.cache
+def _z3z27_cyclotomic_reps():
+    g81 = AbelianGroup([3, 27])
+    reps, _ = cyclotomic_partition_orbits(g81)
+    return g81, reps
 
 
 def test_search_order_and_stabilizer_match_schreier_sims(rings_z3z9):
     # independent check: a fresh group on the same generators gets its order
     # and e-stabilizer from an unseeded Schreier-Sims chain, not the search
-    g81 = AbelianGroup([3, 27])
-    reps, _ = cyclotomic_partition_orbits(g81)
+    g81, reps = _z3z27_cyclotomic_reps()
     rings = list(rings_z3z9)
     rings += [validate(g81, labels_to_classes(lbl)) for lbl in reps[:10]]
     rings += rings_over(5, 5)
@@ -127,6 +136,83 @@ def test_search_order_and_stabilizer_match_schreier_sims(rings_z3z9):
         assert rep.stabilizer_orbits == fresh.point_stabilizer(0).orbits()
         assert rep.aut.point_stabilizer(0).order() == fresh.point_stabilizer(0).order()
     assert nonschurian == 125
+
+
+# (index among the Z3xZ27 cyclotomic representatives, rank, |Aut|, nodes,
+# generators): three of the widest automorphism groups there.
+WIDEST_Z3Z27 = [
+    (0, 6, 286511799958070431838109696, 1605, 59),
+    (4, 7, 35813974994758803979763712, 1605, 59),
+    (7, 7, 7958661109946400884391936, 1573, 57),
+]
+
+
+def test_search_counts_regression(rings_z3z9):
+    stats = {}
+    for ring in rings_z3z9:
+        is_schurian(ring, stats=stats)
+    assert stats == {"nodes": 21333, "generators": 3745, "depth": 3145}
+    g81, reps = _z3z27_cyclotomic_reps()
+    for idx, rank, order, nodes, generators in WIDEST_Z3Z27:
+        ring = validate(g81, labels_to_classes(reps[idx]))
+        stats = {}
+        rep = is_schurian(ring, stats=stats)
+        assert (ring.rank, rep.aut_order) == (rank, order)
+        assert (stats["nodes"], stats["generators"]) == (nodes, generators)
+        assert stats["generators"] == len(rep.aut.generators)
+        assert stats["depth"] == 54
+
+
+def test_search_stats_without_a_search():
+    g = AbelianGroup([3, 3])
+    stats = {"nodes": 7}
+    scheme_automorphisms(validate(g, [[0], range(1, 9)]), stats=stats)
+    assert stats == {"nodes": 7, "generators": 2, "depth": 0}
+
+
+def test_node_budget_names_the_progress_made(rings_z3z9):
+    for ring in rings_z3z9:
+        full = {}
+        is_schurian(ring, stats=full)
+        if full["nodes"] > 20:
+            break
+    stats = {}
+    with pytest.raises(BudgetExceeded, match=r"after 20 nodes, \d+ generators found"):
+        is_schurian(ring, node_budget=20, stats=stats)
+    assert stats["nodes"] == 20
+    assert 2 <= stats["generators"] <= full["generators"]
+    # the budget counts refinements, so the full node count is just enough
+    assert is_schurian(ring, node_budget=full["nodes"]).schurian == is_schurian(ring).schurian
+    with pytest.raises(BudgetExceeded):
+        is_schurian(ring, node_budget=full["nodes"] - 1)
+
+
+def test_schurity_invariant_under_group_automorphisms(rings_z3z9):
+    # metamorphic check: a group automorphism f maps each ring onto an
+    # isomorphic one, so the image ring has the same verdict, |Aut| and
+    # stabilizer orbit sizes; f comes from `automorphisms`, not the search
+    g81, reps = _z3z27_cyclotomic_reps()
+    cases = [(r, False) for r in rings_z3z9]
+    cases += [(r, True) for r in rings_over(5, 5)]
+    cases += [(validate(g81, labels_to_classes(lbl)), False) for lbl in reps[:10]]
+    rng = random.Random(11)
+    auts = {}
+    checked = 0
+    for ring, nonschurian_only in cases:
+        rep = is_schurian(ring)
+        if nonschurian_only and rep.schurian:
+            continue
+        g = ring.group
+        if g.orders not in auts:
+            auts[g.orders] = [f for f in automorphisms(g) if f.table != tuple(range(g.size))]
+        f = rng.choice(auts[g.orders])
+        image = validate(g, [f.apply_set(c) for c in ring.classes])
+        img = is_schurian(image)
+        assert img.schurian == rep.schurian
+        assert img.aut_order == rep.aut_order
+        assert sorted(map(len, img.stabilizer_orbits)) == sorted(map(len, rep.stabilizer_orbits))
+        checked += 1
+    assert checked == 391 + 125 + 10
 
 
 def test_schurity_builds_no_chain_above_rank_2(rings_z3z3, monkeypatch):
