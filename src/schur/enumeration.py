@@ -314,16 +314,19 @@ def enumerate_srings_brute(group):
 
 
 def classify_up_to_cayley(rings, maps=None):
-    """Orbit representatives and orbit sizes under the automorphism action.
+    """Orbit representatives and orbit sizes under the group generated by
+    `maps` (default: all of Aut(G)).
 
     Returns [(representative, size)] sorted by representative key; sizes sum
-    to the input count.
+    to the input count.  Each orbit is found by breadth-first search over the
+    few maps that `group.generating_subset` keeps, which closes under
+    composition and so gives the same orbits as the whole list.  Raises
+    ValueError when the rings are not a union of orbits.
     """
     if not rings:
         return []
     group = rings[0].group
-    if maps is None:
-        maps = grp.automorphisms(group)
+    maps = grp.generating_subset(grp.automorphisms(group) if maps is None else maps)
     keys = {r.canonical_key(): r for r in rings}
     unseen = set(keys)
     out = []

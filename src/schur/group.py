@@ -325,6 +325,42 @@ def automorphisms(group, cap=DEFAULT_ORDER_CAP):
     return out
 
 
+def generating_subset(maps):
+    """A subset of `maps` that generates the same group of bijections.
+
+    Greedy, in input order: a map is kept only when it lies outside the
+    closure of the maps kept so far.  Each kept map at least doubles that
+    closure, so at most log2 of the group order are kept (4 of the 324
+    automorphisms of Z3 x Z27).  Orbits under the group can then be found
+    by breadth-first search over these few maps.
+    """
+    maps = list(maps)
+    if not maps:
+        return []
+    n = len(maps[0].table)
+    seen = {tuple(range(n))}
+    elements = np.arange(n, dtype=np.int64).reshape(1, n)
+    kept = []
+    for f in maps:
+        if f.table in seen:
+            continue
+        kept.append(f)
+        gens = np.array([g.table for g in kept], dtype=np.int64)
+        # `seen` already holds the old closure, so the search starts from all
+        # of it rather than from the identity
+        frontier = elements
+        while len(frontier):
+            fresh = []
+            for row in gens[:, frontier].reshape(-1, n).tolist():
+                t = tuple(row)
+                if t not in seen:
+                    seen.add(t)
+                    fresh.append(row)
+            frontier = np.array(fresh, dtype=np.int64).reshape(-1, n)
+            elements = np.concatenate([elements, frontier])
+    return kept
+
+
 # -- quotients and abstract subgroup structure -----------------------------
 
 

@@ -24,62 +24,51 @@ from .permaction import orbit_of
 # -- cyclotomic partition closure ---------------------------------------------
 
 
-def _orbit_labels(tables, n):
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for t in tables:
-        for i in range(n):
-            ri, rj = find(i), find(t[i])
-            if ri != rj:
-                if ri < rj:
-                    parent[rj] = ri
-                else:
-                    parent[ri] = rj
-    return tuple(find(i) for i in range(n))
-
-
-def _join_labels(p, q, n):
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+def _cyclic_labels(table, n):
+    """Block-minimum labels of the orbit partition of <table>."""
+    lbl = [None] * n
     for i in range(n):
-        for j in (p[i], q[i]):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                if ri < rj:
-                    parent[rj] = ri
-                else:
-                    parent[ri] = rj
-    return tuple(find(i) for i in range(n))
+        if lbl[i] is None:
+            for j in orbit_of([table], i):
+                lbl[j] = i
+    return tuple(lbl)
 
 
-def _relabel(lbl, table, n):
-    """Canonical labels of the image partition under an automorphism table."""
-    tmp = [0] * n
-    for i in range(n):
-        tmp[table[i]] = lbl[i]
-    first = {}
-    out = [0] * n
-    for pos in range(n):
-        b = tmp[pos]
-        if b not in first:
-            first[b] = pos
-        out[pos] = first[b]
-    return tuple(out)
+def _block_min(keys, values, size):
+    """Minimum of `values` over each key, read back at every key."""
+    low = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(low, keys.ravel(), values.ravel())
+    return low[keys]
 
 
-def cyclotomic_partition_orbits(group, deadline=None):
+def _relabel(rows, tables):
+    """Images of partitions under bijections: row j * len(rows) + r is the
+    image of rows[r] under tables[j].
+
+    Partitions are rows of block-minimum labels, and so are the images."""
+    k, (m, n) = len(tables), rows.shape
+    keys = (np.arange(k * m, dtype=np.int64).reshape(k, m, 1) * n) + rows[None, :, :]
+    low = _block_min(keys, np.broadcast_to(tables[:, None, :], (k, m, n)), k * m * n)
+    inverse = np.argsort(tables, axis=1)
+    return np.take_along_axis(low, inverse[:, None, :], axis=2).reshape(k * m, n)
+
+
+def _joins(p, cyclic):
+    """Labels of the join of partition p with each row of `cyclic`, by
+    label propagation: each round takes the label minimum over every block of
+    p, then over every block of the row, until no label moves."""
+    c, n = cyclic.shape
+    offsets = np.arange(c, dtype=np.int64).reshape(c, 1) * n
+    p_keys, q_keys = offsets + p, offsets + cyclic
+    labels = np.minimum(p, cyclic)
+    while True:
+        moved = _block_min(q_keys, _block_min(p_keys, labels, c * n), c * n)
+        if np.array_equal(moved, labels):
+            return labels
+        labels = moved
+
+
+def cyclotomic_partition_orbits(group):
     """(representatives, all distinct partitions) of {Orb(K, G) : K <= Aut(G)}.
 
     The orbit partition of any subgroup is the join of the orbit partitions
@@ -88,37 +77,44 @@ def cyclotomic_partition_orbits(group, deadline=None):
     commute with the Aut(G)-relabeling action and the cyclic partitions form
     an invariant set, so expanding one representative per relabeling orbit
     reaches the whole closure.
+
+    Partitions are tuples of block-minimum labels.  Relabeling orbits are
+    found by breadth-first search over the few automorphisms that
+    `group.generating_subset` keeps, and the joins of one representative
+    with every cyclic partition are taken in one NumPy pass.
     """
     n = group.size
     auts = grp.automorphisms(group)
-    tables = [f.table for f in auts]
-    gens = {}
-    for t in tables:
-        gens.setdefault(_orbit_labels([t], n), True)
-    gen_list = list(gens)
+    cyclic = dict.fromkeys(_cyclic_labels(f.table, n) for f in auts)
+    cyclic_rows = np.array(list(cyclic), dtype=np.int64)
+    gens = np.array(
+        [f.table for f in grp.generating_subset(auts)], dtype=np.int64
+    ).reshape(-1, n)
     known = set()
     reps = []
-    queue = []
 
-    def register(lbl):
-        if lbl in known:
-            return
-        orbit = {_relabel(lbl, t, n) for t in tables}
-        known.update(orbit)
-        rep = min(orbit)
-        reps.append(rep)
-        queue.append(rep)
+    def register(partitions):
+        for lbl in partitions:
+            if lbl in known:
+                continue
+            orbit = {lbl}
+            frontier = [lbl]
+            while frontier:
+                images = _relabel(np.array(frontier, dtype=np.int64), gens)
+                frontier = []
+                for image in map(tuple, images.tolist()):
+                    if image not in orbit:
+                        orbit.add(image)
+                        frontier.append(image)
+            known.update(orbit)
+            reps.append(min(orbit))
 
-    for lbl in gen_list:
-        register(lbl)
-    while queue:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("cyclotomic partition closure timed out")
-        p = queue.pop()
-        for q in gen_list:
-            j = _join_labels(p, q, n)
-            if j not in known:
-                register(j)
+    register(cyclic)
+    expanded = 0
+    while expanded < len(reps):
+        p = np.array(reps[expanded], dtype=np.int64)
+        expanded += 1
+        register(map(tuple, _joins(p, cyclic_rows).tolist()))
     return sorted(reps), known
 
 

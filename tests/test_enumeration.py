@@ -4,6 +4,7 @@ import time
 import pytest
 
 from schur import AbelianGroup, BudgetExceeded, CapExceeded, automorphisms
+from schur import sring as sr
 from schur.enumeration import (
     _new_stats,
     _Search,
@@ -12,6 +13,7 @@ from schur.enumeration import (
     enumerate_srings_brute,
     filter_rings,
 )
+from schur.verify import c1_preserving_automorphisms
 
 from conftest import rings_over
 
@@ -202,6 +204,53 @@ def test_classify_orbit_sizes(rings_z3z3):
     # ZG is fixed by every automorphism
     zg_class = next((rep, size) for rep, size in classes if rep.rank == 9)
     assert zg_class[1] == 1
+
+
+def _orbits_under_every_map(rings, maps):
+    """(key, size) per orbit, from the images of one member under every map;
+    `maps` must be a group, as automorphisms(G) and its C1-stabilizer are."""
+    keys = {r.canonical_key() for r in rings}
+    left = set(keys)
+    out = []
+    for key in sorted(keys):
+        if key not in left:
+            continue
+        orbit = {
+            tuple(sorted(tuple(sorted(f.table[i] for i in c)) for c in key)) for f in maps
+        }
+        assert orbit <= keys, "ring set not closed under Aut(G)"
+        left -= orbit
+        out.append((key, len(orbit)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "orders", [(3, 9), (4, 4), (2, 2, 4), (5, 5), (2, 8)], ids=lambda o: "x".join(map(str, o))
+)
+def test_census_classes_match_every_automorphism(orders):
+    rings = rings_over(*orders)
+    classes = classify_up_to_cayley(rings)
+    found = [(rep.canonical_key(), size) for rep, size in classes]
+    assert found == _orbits_under_every_map(rings, automorphisms(AbelianGroup(orders)))
+    assert sum(size for _, size in classes) == len(rings)
+
+
+def test_c1_preserving_classes_match_every_map():
+    e = AbelianGroup([3, 3])
+    c1 = sr.generated(e, [sr.canonical_c1(e)]).members
+    withc1 = [r for r in rings_over(3, 3) if r.is_a_set(c1)]
+    maps = c1_preserving_automorphisms(e)
+    classes = classify_up_to_cayley(withc1, maps=maps)
+    assert len(classes) == 9
+    found = [(rep.canonical_key(), size) for rep, size in classes]
+    assert found == _orbits_under_every_map(withc1, maps)
+
+
+def test_classify_rejects_a_set_that_is_not_closed(rings_z3z3):
+    # drop one ring of an orbit of size > 1
+    moved = next(rep for rep, size in classify_up_to_cayley(rings_z3z3) if size > 1)
+    with pytest.raises(ValueError, match="not closed"):
+        classify_up_to_cayley([r for r in rings_z3z3 if r is not moved])
 
 
 def test_filter_rings(rings_z3z9):

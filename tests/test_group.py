@@ -5,11 +5,13 @@ from schur import AbelianGroup, CapExceeded, automorphisms, map_from_generator_i
 from schur.group import (
     closure,
     full_subgroup,
+    generating_subset,
     quotient,
     subgroup,
     subgroup_as_group,
     subgroups,
 )
+from schur.verify import abelian_group_orders_up_to
 
 
 def test_mul_inv_pow_examples():
@@ -115,6 +117,34 @@ def test_automorphisms_closed_under_composition_and_inverse():
         assert f.inverse().table in tables
         for h in sample:
             assert f.compose(h).table in tables
+
+
+def _closure_of_tables(tables, n):
+    """Every composite of the given tables, by breadth-first search."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for t in tables:
+            y = tuple(t[i] for i in x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "orders", abelian_group_orders_up_to(27), ids=lambda o: "x".join(map(str, o))
+)
+def test_generating_subset_generates_aut(orders):
+    g = AbelianGroup(orders)
+    auts = automorphisms(g)
+    kept = generating_subset(auts)
+    assert set(kept) <= set(auts)
+    assert len(set(kept)) == len(kept)
+    # each kept map at least doubles the closure of the ones before it
+    assert 2 ** len(kept) <= len(auts)
+    assert _closure_of_tables([f.table for f in kept], g.size) == {f.table for f in auts}
 
 
 def test_map_from_generator_images():
