@@ -21,7 +21,12 @@ the search:
   (b) partial module closure: products of completed class sums must be
       constant on every completed class, and every element of a candidate
       class must agree with the pivot on all product coefficients seen so
-      far.
+      far;
+  (c) isomorph rejection at the root (McKay 1998, "Isomorph-free
+      exhaustive generation") -- every h in H = Stab_Aut(G)(pivot) maps an
+      S-ring whose pivot class is X onto an S-ring whose pivot class is
+      h(X).  So only the least root candidate of each H-orbit is searched,
+      and the rings found are then closed under generators of H.
 
 Leaves always pass full validation, so pruning soundness affects only
 completeness.  The brute-force oracle `enumerate_srings_brute`, which
@@ -86,8 +91,7 @@ class _Search:
 
     def _tick(self):
         self.stats["nodes"] += 1
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded("enumeration time limit exceeded")
+        _check_deadline(self.deadline)
 
     # -- tree ------------------------------------------------------------------
 
@@ -202,11 +206,18 @@ class _Search:
         del self.rows[-self._rows_added.pop():]
 
 
+def _check_deadline(deadline):
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded("enumeration time limit exceeded")
+
+
 def _new_stats():
-    """Zeroed search counters.  `prune_multiplier` counts, per unforced node
-    and subgroup K of the multiplier group, the eligible elements of other
-    wholly unassigned multiplier orbits that K rejects: y^K leaves the
-    allowed elements, or Stab_M(y) is not inside K."""
+    """Zeroed search counters.  `leaves` counts the leaves searched, which
+    lie below root-orbit representatives only, not the rings returned.
+    `prune_multiplier` counts, per unforced node and subgroup K of the
+    multiplier group, the eligible elements of other wholly unassigned
+    multiplier orbits that K rejects: y^K leaves the allowed elements, or
+    Stab_M(y) is not inside K."""
     return {
         "nodes": 0,
         "leaves": 0,
@@ -233,18 +244,69 @@ def _run_slice(group, roots, deadline):
     return s.results, s.stats, False
 
 
+def _root_orbit_representatives(cands, tables):
+    """The least candidate, in list order, of each orbit of the group that
+    `tables` generate; the candidate list must be closed under it.
+
+    A candidate's key is the sum over its members of a 64-bit weight per
+    element, wrapping around: the bit of the element while |G| <= 64, so
+    that the key is the candidate's bit set, and a fixed random weight
+    above that.  The keys must be distinct, which is checked.  Each table
+    then permutes the keys, so sorting the image keys pairs each candidate
+    with its image.  Orbit labels are the least index reachable, by
+    min-label propagation and pointer jumping.
+    """
+    sizes = np.fromiter(map(len, cands), dtype=np.int64, count=len(cands))
+    members = np.fromiter(
+        itertools.chain.from_iterable(cands), dtype=np.int64, count=int(sizes.sum())
+    )
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    n = tables.shape[1]
+    if n <= 64:
+        weight = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    else:
+        weight = np.random.default_rng(n).integers(0, 2**64, n, dtype=np.uint64)
+    keys = np.add.reduceat(weight[members], starts)
+    order = np.argsort(keys)
+    if (keys[order[1:]] == keys[order[:-1]]).any():
+        raise RuntimeError("root candidate keys collide")
+    images = []
+    for table in tables:
+        moved = np.add.reduceat(weight[table[members]], starts)
+        moved_order = np.argsort(moved)
+        if not np.array_equal(moved[moved_order], keys[order]):
+            raise RuntimeError("root candidates are not closed under the stabilizer")
+        image = np.empty_like(order)
+        image[moved_order] = order
+        images.append(image)
+    labels = np.arange(len(cands))
+    while True:
+        before = labels
+        for image in images:
+            labels = np.minimum(labels, labels[image])
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            return [cands[i] for i in np.flatnonzero(labels == np.arange(len(cands)))]
+
+
 def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats=None):
     """The complete, duplicate-free list of S-rings over G, canonical order.
 
-    The root node's candidate classes for the least non-identity element
-    are split into `jobs` strided slices, each searched on its own; with
-    jobs <= 1 the one slice runs in this process, otherwise each slice runs
-    in a worker process.  The result and the stats do not depend on `jobs`.
-    `time_limit` (seconds) is one deadline shared by the root and every
-    slice.  Search counters (see `_new_stats`) are added into `stats` in
-    place, if given; when the deadline passes, even at the root, the counters
-    so far are added all the same, and then BudgetExceeded is raised with the
-    nodes searched and the rings found.
+    The root node's candidate classes for the pivot, the least non-identity
+    element, are split into orbits under H = Stab_Aut(G)(pivot), and only
+    the least candidate of each orbit is searched (rule (c) of the module
+    docstring).  These representatives are split into `jobs` strided
+    slices, each searched on its own; with jobs <= 1 the one slice runs in
+    this process, otherwise each slice runs in a worker process.  The rings
+    found are then closed under generators of H by breadth-first search.
+    The result and the stats do not depend on `jobs`.
+
+    `time_limit` (seconds) is one deadline shared by the root, the
+    automorphisms, the orbit split and every slice.  Search counters (see
+    `_new_stats`) are added into `stats` in place, if given; when the
+    deadline passes, even at the root, the counters so far are added all
+    the same, the closure is skipped, and BudgetExceeded is raised with the
+    nodes searched and the distinct rings the search found.
     """
     if group.size > cap:
         raise CapExceeded("enumeration over order %d exceeds cap %d" % (group.size, cap))
@@ -252,16 +314,22 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
         warnings.warn("enumerating S-rings over order %d may take a long time" % group.size)
     deadline = time.monotonic() + time_limit if time_limit else None
     root = _Search(group, deadline, _new_stats())
-    roots, timed_out = [], False
+    roots, gens, timed_out = [], [], False
     try:
         root._tick()
         pivot = root._least_unassigned()
         if pivot is None:  # the trivial group: the root is its only leaf
             root._leaf()
         else:
+            stab = [f for f in grp.automorphisms(group) if f.table[pivot] == pivot]
+            gens = [f.table for f in grp.generating_subset(stab)]
+            _check_deadline(deadline)
             roots = root.candidates(pivot)
+            if gens:
+                roots = _root_orbit_representatives(roots, np.array(gens, dtype=np.int64))
+            _check_deadline(deadline)
     except BudgetExceeded:
-        timed_out = True
+        roots, timed_out = [], True
     parts = [(root.results, root.stats, timed_out)]
     if roots and jobs <= 1:
         parts.append(_run_slice(group, roots, deadline))
@@ -283,6 +351,11 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
             "enumeration time limit exceeded after %d nodes, %d rings found"
             % (merged["nodes"], len(keys))
         )
+    frontier = list(keys)
+    while frontier:
+        fresh = {sr.image_key(key, table) for key in frontier for table in gens} - keys
+        keys |= fresh
+        frontier = list(fresh)
     return [sr.SRing(group, [frozenset(c) for c in key]) for key in sorted(keys)]
 
 
@@ -344,7 +417,7 @@ def classify_up_to_cayley(rings, maps=None):
             if ring is None:
                 raise ValueError("ring set is not closed under the automorphism action")
             for f in maps:
-                moved = tuple(sorted(tuple(sorted(f.apply_index(i) for i in c)) for c in k))
+                moved = sr.image_key(k, f.table)
                 if moved not in orbit:
                     frontier.append(moved)
         unseen -= orbit

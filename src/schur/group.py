@@ -305,24 +305,33 @@ def map_from_generator_images(group, images, dst=None):
 
 
 def automorphisms(group, cap=DEFAULT_ORDER_CAP):
-    """The full automorphism group, by enumerating generator images."""
+    """The full automorphism group, sorted by table.
+
+    Generator images are chosen one cyclic factor at a time, each among the
+    elements whose order divides the factor's.  A choice for the first j
+    factors defines a homomorphism on their subgroup, and it is kept only if
+    that homomorphism is injective, i.e. only the identity maps to 0; every
+    extension is then tested in one NumPy batch.
+    """
     if group.size > cap:
         raise CapExceeded("group order %d exceeds cap %d" % (group.size, cap))
     if group.rank == 0:
         return [identity_map(group)]
-    candidates = []
-    for m in group.orders:
-        candidates.append([i for i in range(group.size) if m % int(group.order_table[i]) == 0])
+    res = group._residues
     mods = np.array(group.orders, dtype=np.int64)
-    out = []
-    for combo in itertools.product(*candidates):
-        img_res = group._residues[list(combo)]
-        res = (group._residues @ img_res) % mods
-        table = (res @ group._radix).astype(np.int64)
-        if len(np.unique(table)) == group.size:
-            out.append(GroupMap(group, group, tuple(int(v) for v in table)))
-    out.sort(key=lambda f: f.table)
-    return out
+    chosen = np.zeros((1, 0), dtype=np.int64)  # generator images, one row per choice
+    for j, m in enumerate(group.orders):
+        cand = np.flatnonzero(m % group.order_table == 0)
+        chosen = np.column_stack(
+            [np.repeat(chosen, len(cand), axis=0), np.tile(cand, len(chosen))]
+        )
+        # the subgroup of the first j + 1 factors, in canonical order
+        sub = res[(res[:, j + 1:] == 0).all(axis=1), : j + 1]
+        tables = (np.einsum("sk,bkr->bsr", sub, res[chosen]) % mods) @ group._radix
+        keep = (tables == 0).sum(axis=1) == 1
+        chosen, tables = chosen[keep], tables[keep]
+    tables = tables[np.lexsort(tables.T[::-1])]
+    return [GroupMap(group, group, tuple(t)) for t in tables.tolist()]
 
 
 def generating_subset(maps):

@@ -380,10 +380,19 @@ def canonical_c1(group):
     return (0, group.orders[1] // 3)
 
 
+def image_key(key, table):
+    """The canonical key of the image of a ring key under a map's table."""
+    return tuple(sorted(tuple(sorted(table[i] for i in c)) for c in key))
+
+
 def cayley_isomorphic(a, b, maps=None):
     """A group automorphism carrying S(A) onto S(B), or None.
 
-    Complete: scans the full automorphism group (or the supplied maps).
+    Complete: breadth-first search of the orbit of A under the few maps that
+    `group.generating_subset` keeps from `maps` (default: all of Aut(G)),
+    carrying the composed map to each ring reached.  `maps` must be a
+    group, as `classify_up_to_cayley` also requires: the search reaches the
+    images of A under the group the maps generate.
     """
     if a.group != b.group:
         raise GroupMismatch("Cayley isomorphism needs identical group specs")
@@ -391,8 +400,19 @@ def cayley_isomorphic(a, b, maps=None):
         return None
     if maps is None:
         maps = grp.automorphisms(a.group)
-    target = set(b.classes)
-    for f in maps:
-        if all(f.apply_set(c) in target for c in a.classes) :
-            return f
+    gens = [f.table for f in grp.generating_subset(maps)]
+    target = b.canonical_key()
+    reached = {a.canonical_key(): tuple(range(a.group.size))}
+    frontier = list(reached)
+    while frontier:
+        fresh = []
+        for key in frontier:
+            if key == target:
+                return grp.GroupMap(a.group, a.group, reached[key])
+            for t in gens:
+                moved = image_key(key, t)
+                if moved not in reached:
+                    reached[moved] = tuple(t[i] for i in reached[key])
+                    fresh.append(moved)
+        frontier = fresh
     return None

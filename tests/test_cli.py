@@ -40,8 +40,8 @@ def test_enumerate_default_jobs_reports_search_stats():
     proc = run_cli(["enumerate", "--group", "3,3"])
     assert proc.returncode == 0, proc.stderr
     prunes = json.loads(proc.stdout)["prunes"]
-    assert prunes["nodes"] == 117
-    assert prunes["leaves"] == 40
+    assert prunes["nodes"] == 66
+    assert prunes["leaves"] == 23
 
 
 def test_budget_flags_belong_to_their_subcommand():

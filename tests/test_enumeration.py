@@ -4,18 +4,20 @@ import time
 import pytest
 
 from schur import AbelianGroup, BudgetExceeded, CapExceeded, automorphisms
+from schur import enumeration
 from schur import sring as sr
 from schur.enumeration import (
     _new_stats,
+    _run_slice,
     _Search,
     classify_up_to_cayley,
     enumerate_srings,
     enumerate_srings_brute,
     filter_rings,
 )
-from schur.verify import c1_preserving_automorphisms
+from schur.verify import abelian_group_orders_up_to, c1_preserving_automorphisms
 
-from conftest import rings_over
+from conftest import rings_over, stretch
 
 
 @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [9], [3, 3]])
@@ -66,14 +68,15 @@ def test_closed_under_automorphisms_and_rational_conjugation():
 
 
 def test_parallel_jobs_same_result():
-    for orders in ([3, 3], [2, 8]):
+    # leaves searched below the root-orbit representatives (regression constants)
+    for orders, leaves in (([3, 3], 23), ([2, 8], 149)):
         g = AbelianGroup(orders)
         stats1, stats2 = _new_stats(), _new_stats()
         plain = [r.canonical_key() for r in enumerate_srings(g, stats=stats1)]
         par = [r.canonical_key() for r in enumerate_srings(g, jobs=2, stats=stats2)]
         assert plain == par, orders
         assert stats1 == stats2, orders
-        assert stats1["leaves"] == len(plain), orders
+        assert stats1["leaves"] == leaves, orders
 
 
 def test_parallel_jobs_share_one_deadline():
@@ -162,28 +165,73 @@ def test_candidates_match_subset_oracle(orders):
     assert sorted(search.results) == [r.canonical_key() for r in enumerate_srings(g)]
 
 
+# rings returned, pinned apart from `leaves`: the search reaches leaves only
+# below root-orbit representatives, so it sees fewer leaves than it returns
+# rings wherever Stab_Aut(G)(pivot) is not trivial
+_RING_COUNTS = {(27,): 25, (2, 8): 163, (3, 9): 391, (4, 4): 537, (2, 2, 4): 1121, (5, 5): 458}
+
+
 @pytest.mark.parametrize(
     "orders, nodes, candidates, leaves, profile_filtered, prune_module",
     [
         ([27], 136, 75, 25, 114, 29),
-        ([2, 8], 574, 715, 163, 588, 283),
-        ([3, 9], 2426, 3810, 391, 4291, 2698),
-        ([4, 4], 1950, 4569, 537, 2398, 3008),
-        ([2, 2, 4], 3534, 9973, 1121, 3245, 6731),
-        ([5, 5], 2762, 9627, 458, 3837, 8531),
+        ([2, 8], 490, 646, 149, 459, 242),
+        ([3, 9], 1701, 3120, 269, 3168, 1687),
+        ([4, 4], 1031, 2803, 284, 1386, 1591),
+        ([2, 2, 4], 1364, 4961, 469, 1131, 2780),
+        ([5, 5], 978, 7051, 156, 2243, 3428),
     ],
 )
 def test_search_shape_regression(orders, nodes, candidates, leaves, profile_filtered, prune_module):
     # regression constants of this search (no published values)
     stats = _new_stats()
     rings = enumerate_srings(AbelianGroup(orders), stats=stats)
-    assert len(rings) == leaves
+    assert len(rings) == _RING_COUNTS[tuple(orders)]
     assert stats["nodes"] == nodes
     assert stats["candidates"] == candidates
     assert stats["leaves"] == leaves
     assert stats["profile_filtered"] == profile_filtered
     assert stats["prune_module"] == prune_module
     assert stats["leaf_rejects"] == stats["prune_forced"] == 0
+
+
+def _unreduced_keys(g):
+    """The search below every root candidate, with no orbit reduction."""
+    root = _Search(g, None, _new_stats())
+    keys, _, timed_out = _run_slice(g, root.candidates(1), None)
+    assert not timed_out
+    return sorted(set(keys))
+
+
+@pytest.mark.parametrize(
+    "orders",
+    # every group of order <= 16, which has Z4xZ4, Z2xZ2xZ4 and Z2xZ8 of the
+    # census, and the census groups Z3xZ9 and Z5xZ5
+    abelian_group_orders_up_to(16) + [[3, 9], [5, 5]],
+    ids=lambda o: "x".join(map(str, o)),
+)
+def test_root_reduction_matches_unreduced_search(orders):
+    g = AbelianGroup(orders)
+    assert [r.canonical_key() for r in enumerate_srings(g)] == _unreduced_keys(g)
+
+
+@stretch
+def test_root_reduction_on_z3xz27_stretch():
+    assert len(enumerate_srings(AbelianGroup([3, 27]))) == 2855
+
+
+def test_time_limit_covers_the_automorphisms(monkeypatch):
+    # the deadline passes inside `automorphisms`: no root candidates are
+    # built and no slice runs
+    def slow_automorphisms(group):
+        time.sleep(0.1)
+        return automorphisms(group)
+
+    monkeypatch.setattr(enumeration.grp, "automorphisms", slow_automorphisms)
+    stats = _new_stats()
+    with pytest.raises(BudgetExceeded, match="after 1 nodes, 0 rings found"):
+        enumerate_srings(AbelianGroup([3, 9]), time_limit=0.03, stats=stats)
+    assert stats["nodes"] == 1 and stats["candidates"] == 0
 
 
 def test_warns_above_27_and_honors_time_limit():

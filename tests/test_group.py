@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,24 @@ def test_automorphism_counts(orders, count):
     assert len(auts) == count
     for f in auts[:10]:
         assert f.bijective and f.is_homomorphism()
+
+
+@pytest.mark.parametrize(
+    "orders", abelian_group_orders_up_to(27), ids=lambda o: "x".join(map(str, o))
+)
+def test_automorphisms_match_generator_image_oracle(orders):
+    # every choice of generator images of dividing order, one map at a time
+    g = AbelianGroup(orders)
+    choices = [
+        [t for t in g.elements if m % g.element_order(t) == 0] for m in g.orders
+    ]
+    expect = set()
+    for images in itertools.product(*choices):
+        f = map_from_generator_images(g, images)
+        if f.bijective:
+            expect.add(f.table)
+    tables = [f.table for f in automorphisms(g)]
+    assert tables == sorted(expect)
 
 
 def test_automorphisms_closed_under_composition_and_inverse():
