@@ -38,6 +38,7 @@ not published values.
 from __future__ import annotations
 
 import itertools
+import random
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -248,13 +249,11 @@ def _root_orbit_representatives(cands, tables):
     """The least candidate, in list order, of each orbit of the group that
     `tables` generate; the candidate list must be closed under it.
 
-    A candidate's key is the sum over its members of a 64-bit weight per
-    element, wrapping around: the bit of the element while |G| <= 64, so
-    that the key is the candidate's bit set, and a fixed random weight
-    above that.  The keys must be distinct, which is checked.  Each table
-    then permutes the keys, so sorting the image keys pairs each candidate
-    with its image.  Orbit labels are the least index reachable, by
-    min-label propagation and pointer jumping.
+    A candidate's key is the sum over its members of a fixed random 64-bit
+    weight per element, wrapping around.  The keys must be distinct, which
+    is checked.  Each table then permutes the keys, so sorting the image
+    keys pairs each candidate with its image.  Orbit labels are the least
+    index reachable, by min-label propagation and pointer jumping.
     """
     sizes = np.fromiter(map(len, cands), dtype=np.int64, count=len(cands))
     members = np.fromiter(
@@ -262,10 +261,8 @@ def _root_orbit_representatives(cands, tables):
     )
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     n = tables.shape[1]
-    if n <= 64:
-        weight = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-    else:
-        weight = np.random.default_rng(n).integers(0, 2**64, n, dtype=np.uint64)
+    rng = random.Random(n)
+    weight = np.array([rng.getrandbits(64) for _ in range(n)], dtype=np.uint64)
     keys = np.add.reduceat(weight[members], starts)
     order = np.argsort(keys)
     if (keys[order[1:]] == keys[order[:-1]]).any():
@@ -351,11 +348,7 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
             "enumeration time limit exceeded after %d nodes, %d rings found"
             % (merged["nodes"], len(keys))
         )
-    frontier = list(keys)
-    while frontier:
-        fresh = {sr.image_key(key, table) for key in frontier for table in gens} - keys
-        keys |= fresh
-        frontier = list(fresh)
+    keys = sr.orbit_keys(keys, gens)
     return [sr.SRing(group, [frozenset(c) for c in key]) for key in sorted(keys)]
 
 
@@ -399,29 +392,19 @@ def classify_up_to_cayley(rings, maps=None):
     if not rings:
         return []
     group = rings[0].group
-    maps = grp.generating_subset(grp.automorphisms(group) if maps is None else maps)
+    maps = grp.automorphisms(group) if maps is None else maps
+    tables = [f.table for f in grp.generating_subset(maps)]
     keys = {r.canonical_key(): r for r in rings}
     unseen = set(keys)
     out = []
     for key in sorted(keys):
         if key not in unseen:
             continue
-        orbit = set()
-        frontier = [key]
-        while frontier:
-            k = frontier.pop()
-            if k in orbit:
-                continue
-            orbit.add(k)
-            ring = keys.get(k)
-            if ring is None:
-                raise ValueError("ring set is not closed under the automorphism action")
-            for f in maps:
-                moved = sr.image_key(k, f.table)
-                if moved not in orbit:
-                    frontier.append(moved)
+        orbit = sr.orbit_keys([key], tables)
+        if not orbit <= unseen:
+            raise ValueError("ring set is not closed under the automorphism action")
         unseen -= orbit
-        out.append((keys[min(orbit)], len(orbit)))
+        out.append((keys[key], len(orbit)))
     return out
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import CapExceeded, GroupMismatch
 
 DEFAULT_ORDER_CAP = 243
+_AUT_BATCH = 1 << 20  # entries in one batch of candidate automorphism tables
 
 
 class AbelianGroup:
@@ -309,29 +310,41 @@ def automorphisms(group, cap=DEFAULT_ORDER_CAP):
 
     Generator images are chosen one cyclic factor at a time, each among the
     elements whose order divides the factor's.  A choice for the first j
-    factors defines a homomorphism on their subgroup, and it is kept only if
-    that homomorphism is injective, i.e. only the identity maps to 0; every
-    extension is then tested in one NumPy batch.
+    factors defines a homomorphism on their subgroup S_j, kept as its table
+    on S_j; it is kept only if it is injective, i.e. only the identity maps
+    to 0.  Extending a table by the image c of the next generator gives
+    T(x) + t*c at x + t*e_j, so each batch of extensions is one lookup in
+    the multiplication table.  Batches hold at most _AUT_BATCH entries, and
+    kept tables are stored in the narrowest index type, so memory stays
+    near the size of the result.
     """
     if group.size > cap:
         raise CapExceeded("group order %d exceeds cap %d" % (group.size, cap))
     if group.rank == 0:
         return [identity_map(group)]
-    res = group._residues
     mods = np.array(group.orders, dtype=np.int64)
-    chosen = np.zeros((1, 0), dtype=np.int64)  # generator images, one row per choice
-    for j, m in enumerate(group.orders):
+    index_type = np.min_scalar_type(group.size - 1)
+    tables = np.zeros((1, 1), dtype=index_type)  # the trivial map on S_0 = {0}
+    for m in group.orders:
         cand = np.flatnonzero(m % group.order_table == 0)
-        chosen = np.column_stack(
-            [np.repeat(chosen, len(cand), axis=0), np.tile(cand, len(chosen))]
-        )
-        # the subgroup of the first j + 1 factors, in canonical order
-        sub = res[(res[:, j + 1:] == 0).all(axis=1), : j + 1]
-        tables = (np.einsum("sk,bkr->bsr", sub, res[chosen]) % mods) @ group._radix
-        keep = (tables == 0).sum(axis=1) == 1
-        chosen, tables = chosen[keep], tables[keep]
+        # multiples[c, t] = t * cand[c]
+        multiples = np.arange(m)[None, :, None] * group._residues[cand, None, :]
+        multiples = (multiples % mods) @ group._radix
+        width = tables.shape[1] * m
+        step = max(1, _AUT_BATCH // (len(cand) * width))
+        kept = []
+        for lo in range(0, len(tables), step):
+            ext = group.mul_table[tables[lo:lo + step, None, :, None], multiples[None, :, None, :]]
+            ext = ext.reshape(-1, width)
+            kept.append(ext[(ext == 0).sum(axis=1) == 1].astype(index_type))
+        tables = np.concatenate(kept)
     tables = tables[np.lexsort(tables.T[::-1])]
-    return [GroupMap(group, group, tuple(t)) for t in tables.tolist()]
+    rows = max(1, _AUT_BATCH // group.size)
+    return [
+        GroupMap(group, group, tuple(t))
+        for lo in range(0, len(tables), rows)
+        for t in tables[lo:lo + rows].tolist()
+    ]
 
 
 def generating_subset(maps):

@@ -385,14 +385,22 @@ def image_key(key, table):
     return tuple(sorted(tuple(sorted(table[i] for i in c)) for c in key))
 
 
+def orbit_keys(keys, tables):
+    """The closure of a set of ring keys under the maps with these tables,
+    by breadth-first search."""
+    closed = set(keys)
+    frontier = list(closed)
+    while frontier:
+        fresh = {image_key(k, t) for k in frontier for t in tables} - closed
+        closed |= fresh
+        frontier = list(fresh)
+    return closed
+
+
 def cayley_isomorphic(a, b, maps=None):
     """A group automorphism carrying S(A) onto S(B), or None.
 
-    Complete: breadth-first search of the orbit of A under the few maps that
-    `group.generating_subset` keeps from `maps` (default: all of Aut(G)),
-    carrying the composed map to each ring reached.  `maps` must be a
-    group, as `classify_up_to_cayley` also requires: the search reaches the
-    images of A under the group the maps generate.
+    Complete: scans the full automorphism group (or the supplied maps).
     """
     if a.group != b.group:
         raise GroupMismatch("Cayley isomorphism needs identical group specs")
@@ -400,19 +408,8 @@ def cayley_isomorphic(a, b, maps=None):
         return None
     if maps is None:
         maps = grp.automorphisms(a.group)
-    gens = [f.table for f in grp.generating_subset(maps)]
-    target = b.canonical_key()
-    reached = {a.canonical_key(): tuple(range(a.group.size))}
-    frontier = list(reached)
-    while frontier:
-        fresh = []
-        for key in frontier:
-            if key == target:
-                return grp.GroupMap(a.group, a.group, reached[key])
-            for t in gens:
-                moved = image_key(key, t)
-                if moved not in reached:
-                    reached[moved] = tuple(t[i] for i in reached[key])
-                    fresh.append(moved)
-        frontier = fresh
+    target = set(b.classes)
+    for f in maps:
+        if all(f.apply_set(c) in target for c in a.classes) :
+            return f
     return None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schur import AbelianGroup, CapExceeded, automorphisms, map_from_generator_images
+from schur import group as group_module
 from schur.group import (
     closure,
     full_subgroup,
@@ -126,6 +127,15 @@ def test_automorphisms_match_generator_image_oracle(orders):
             expect.add(f.table)
     tables = [f.table for f in automorphisms(g)]
     assert tables == sorted(expect)
+
+
+@pytest.mark.parametrize("orders", [[2, 2, 2, 2], [3, 9], [2, 2, 4]])
+def test_automorphisms_in_small_batches(monkeypatch, orders):
+    # one prefix table per batch, so every batch boundary is crossed
+    g = AbelianGroup(orders)
+    expect = [f.table for f in automorphisms(g)]
+    monkeypatch.setattr(group_module, "_AUT_BATCH", 1)
+    assert [f.table for f in automorphisms(g)] == expect
 
 
 def test_automorphisms_closed_under_composition_and_inverse():

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from schur import AbelianGroup, SRingViolation, canonical_c1, cayley_isomorphic, validate
-from schur import automorphisms, generated, radical
+from schur import generated, radical
 from schur.group import subgroup
 from schur.groupring import multiply, sum_of_set
-from schur.sring import SectionRef, from_json, image_key
+from schur.sring import SectionRef, from_json
 
 from conftest import rings_over
 
@@ -260,29 +260,6 @@ def test_cayley_isomorphic_identity_and_rank_gate():
     assert f is not None and f.table == tuple(range(9))
     different_rank = next(r for r in rings if r.rank != a.rank)
     assert cayley_isomorphic(a, different_rank) is None
-
-
-def test_cayley_isomorphic_matches_full_scan(rings_z3z9):
-    # each Z3xZ9 ring against a seeded same-rank ring and a seeded
-    # automorphic image of itself, checked by scanning every automorphism
-    auts = automorphisms(rings_z3z9[0].group)
-    tables = {f.table for f in auts}
-    by_key = {r.canonical_key(): r for r in rings_z3z9}
-    rng = random.Random(5)
-    found = {True: 0, False: 0}
-    for a in rings_z3z9:
-        same_rank = [r for r in rings_z3z9 if r.rank == a.rank]
-        image = by_key[image_key(a.canonical_key(), rng.choice(auts).table)]
-        for b in (rng.choice(same_rank), image):
-            target = set(b.classes)
-            scan = any({f.apply_set(c) for c in a.classes} == target for f in auts)
-            f = cayley_isomorphic(a, b, maps=auts)
-            assert (f is not None) == scan
-            if f is not None:
-                assert f.table in tables
-                assert {f.apply_set(c) for c in a.classes} == target
-            found[scan] += 1
-    assert found[True] > len(rings_z3z9) and found[False] > 0
 
 
 def test_json_roundtrip_byte_identical(rings_z3z3):
