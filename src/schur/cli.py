@@ -48,7 +48,10 @@ def _env(name, default, cast):
     raw = os.environ.get("SCHUR_" + name)
     if raw is None:
         return default
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError as e:
+        raise SystemExit(_usage_error("bad SCHUR_%s %r: %s" % (name, raw, e)))
 
 
 def _parse_group(text):
@@ -137,6 +140,14 @@ def cmd_enumerate(args):
     return EX_OK
 
 
+def _print_aut(ring, rep):
+    print("|Aut| = %d" % rep.aut_order)
+    print(
+        "stabilizer orbits: %s"
+        % json.dumps([[list(ring.group.elements[i]) for i in o] for o in rep.stabilizer_orbits])
+    )
+
+
 def cmd_check(args):
     ring = _read_ring(args.ring)
     print("valid, rank %d" % ring.rank)
@@ -147,11 +158,7 @@ def cmd_check(args):
     except BudgetExceeded as e:
         print("budget exceeded: %s" % e, file=sys.stderr)
         return EX_BUDGET
-    print("|Aut| = %d" % rep.aut_order)
-    print(
-        "stabilizer orbits: %s"
-        % json.dumps([[list(ring.group.elements[i]) for i in o] for o in rep.stabilizer_orbits])
-    )
+    _print_aut(ring, rep)
     if rep.schurian:
         print("schurian")
         return EX_OK
@@ -207,11 +214,7 @@ def cmd_aut(args):
     except BudgetExceeded as e:
         print("budget exceeded: %s" % e, file=sys.stderr)
         return EX_BUDGET
-    print("|Aut| = %d" % rep.aut_order)
-    print(
-        "stabilizer orbits: %s"
-        % json.dumps([[list(ring.group.elements[i]) for i in o] for o in rep.stabilizer_orbits])
-    )
+    _print_aut(ring, rep)
     print("schurian" if rep.schurian else "non-schurian")
     return EX_OK
 

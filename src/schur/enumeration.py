@@ -49,6 +49,7 @@ from . import group as grp
 from . import sring as sr
 from .errors import BudgetExceeded, CapExceeded
 from .groupring import class_products
+from .permaction import orbit_labels
 
 DEFAULT_ENUM_CAP = 81
 
@@ -208,7 +209,7 @@ class _Search:
 
 
 def _check_deadline(deadline):
-    if deadline is not None and time.monotonic() > deadline:
+    if deadline is not None and time.monotonic() >= deadline:
         raise BudgetExceeded("enumeration time limit exceeded")
 
 
@@ -252,8 +253,8 @@ def _root_orbit_representatives(cands, tables):
     A candidate's key is the sum over its members of a fixed random 64-bit
     weight per element, wrapping around.  The keys must be distinct, which
     is checked.  Each table then permutes the keys, so sorting the image
-    keys pairs each candidate with its image.  Orbit labels are the least
-    index reachable, by min-label propagation and pointer jumping.
+    keys pairs each candidate with its image, and `orbit_labels` over these
+    index permutations gives the orbits.
     """
     sizes = np.fromiter(map(len, cands), dtype=np.int64, count=len(cands))
     members = np.fromiter(
@@ -276,14 +277,8 @@ def _root_orbit_representatives(cands, tables):
         image = np.empty_like(order)
         image[moved_order] = order
         images.append(image)
-    labels = np.arange(len(cands))
-    while True:
-        before = labels
-        for image in images:
-            labels = np.minimum(labels, labels[image])
-        labels = labels[labels]
-        if np.array_equal(labels, before):
-            return [cands[i] for i in np.flatnonzero(labels == np.arange(len(cands)))]
+    labels = orbit_labels(images, len(cands))
+    return [cands[i] for i in np.flatnonzero(labels == np.arange(len(cands)))]
 
 
 def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats=None):
@@ -309,7 +304,7 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
         raise CapExceeded("enumeration over order %d exceeds cap %d" % (group.size, cap))
     if group.size > 27:
         warnings.warn("enumerating S-rings over order %d may take a long time" % group.size)
-    deadline = time.monotonic() + time_limit if time_limit else None
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
     root = _Search(group, deadline, _new_stats())
     roots, gens, timed_out = [], [], False
     try:

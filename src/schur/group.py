@@ -280,29 +280,27 @@ def identity_map(group):
     return GroupMap(group, group, tuple(range(group.size)))
 
 
-def map_from_generator_images(group, images, dst=None):
+def map_from_generator_images(group, images):
     """The endomorphism sending the i-th canonical generator to images[i].
 
     Well defined iff each image order divides the corresponding factor order;
     otherwise raises ValueError.  Bijectivity is left to the caller via the
     returned map's flags.
     """
-    dst = dst or group
-    images = [dst.element(t) for t in images]
+    images = [group.element(t) for t in images]
     if len(images) != group.rank:
         raise ValueError("expected %d generator images" % group.rank)
     for img, m in zip(images, group.orders):
-        if m % dst.element_order(img) != 0:
+        if m % group.element_order(img) != 0:
             raise ValueError(
                 "ill-defined map: image %r has order %d, not dividing %d"
-                % (img, dst.element_order(img), m)
+                % (img, group.element_order(img), m)
             )
     # image of (a1,...,ak) is sum_j aj * images[j], computed coordinatewise
-    mods = np.array(dst.orders, dtype=np.int64) if dst.rank else np.zeros(0, dtype=np.int64)
-    img_res = np.array([list(t) for t in images], dtype=np.int64).reshape(group.rank, dst.rank)
-    res = (group._residues @ img_res) % mods if dst.rank else np.zeros((group.size, 0), dtype=np.int64)
-    table = (res @ dst._radix).astype(np.int64) if dst.rank else np.zeros(group.size, dtype=np.int64)
-    return GroupMap(group, dst, tuple(int(v) for v in table))
+    mods = np.array(group.orders, dtype=np.int64)
+    img_res = np.array(images, dtype=np.int64).reshape(group.rank, group.rank)
+    table = ((group._residues @ img_res) % mods) @ group._radix
+    return GroupMap(group, group, tuple(int(v) for v in table))
 
 
 def automorphisms(group, cap=DEFAULT_ORDER_CAP):

@@ -98,19 +98,6 @@ def multiply(u, v):
     return GroupRingElement(g, out)
 
 
-def _index_array(xs):
-    if isinstance(xs, np.ndarray):
-        return xs.astype(np.int64, copy=False)
-    return np.fromiter(xs, dtype=np.int64)
-
-
-def set_product_vector(group, xs, ys):
-    """Coefficient vector of underline(X)*underline(Y) for X, Y given as
-    iterables of element indices, in any order; an empty side gives 0."""
-    xa, ya = _index_array(xs), _index_array(ys)
-    return np.bincount(group.mul_table[xa[:, None], ya].ravel(), minlength=group.size)
-
-
 def class_products(group, xs, members, labels, k):
     """The k x |G| matrix whose row c is the coefficient vector of
     underline(X)*underline(C_c), C_c = {members[j] : labels[j] == c}.

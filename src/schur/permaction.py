@@ -13,6 +13,14 @@ order and the stabilizer of e come out of the search itself), and
 `symmetric_group` fills both from n! and Sym(n-1), so those two calls build
 no chain there; `contains()`, `chain()` and stabilizers of other
 points still do.
+
+Orbit partitions need no chain.  `orbit_labels(tables, n)` labels each
+point with the least point of its orbit under the group that the tables
+generate, in a few NumPy passes.  `PermGroup.orbits()` groups these labels
+into blocks; `orbitals()` and `two_equivalent` take them over the pair
+codes a * n + b.  The enumeration's root-orbit split and the cyclotomic
+partition closure in `verify` use the same kernel.  `orbit_of` is the
+breadth-first search for the orbit of one point.
 """
 
 from __future__ import annotations
@@ -221,28 +229,9 @@ class PermGroup:
             self._stabilizers[point] = PermGroup(gens, self.degree, self.chain_budget)
         return self._stabilizers[point]
 
-    def orbits(self, points=None):
-        """Orbit partition on the domain (or the given points), sorted."""
-        if points is None:
-            points = range(self.degree)
-        parent = {int(p): int(p) for p in points}
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for g in self.generators:
-            for i in list(parent):
-                j = int(g[i])
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        blocks = {}
-        for i in parent:
-            blocks.setdefault(find(i), []).append(i)
-        return sorted(tuple(sorted(b)) for b in blocks.values())
+    def orbits(self):
+        """Orbit partition on the domain, sorted."""
+        return [tuple(b) for b in _blocks(orbit_labels(self.generators, self.degree))]
 
     def orbit(self, point):
         return frozenset(orbit_of(self.generators, point))
@@ -250,28 +239,7 @@ class PermGroup:
     def orbitals(self):
         """Orbit partition of the diagonal action on ordered pairs."""
         n = self.degree
-        parent = np.arange(n * n, dtype=np.int64)
-
-        def find(i):
-            root = i
-            while parent[root] != root:
-                root = parent[root]
-            while parent[i] != root:
-                parent[i], i = root, parent[i]
-            return root
-
-        for g in self.generators:
-            for a in range(n):
-                ga = int(g[a]) * n
-                an = a * n
-                for b in range(n):
-                    i, j = find(an + b), find(ga + int(g[b]))
-                    if i != j:
-                        parent[i] = j
-        blocks = {}
-        for code in range(n * n):
-            blocks.setdefault(find(code), []).append((code // n, code % n))
-        return sorted(tuple(sorted(b)) for b in blocks.values())
+        return [tuple(divmod(c, n) for c in b) for b in _blocks(_orbital_labels(self))]
 
     def has_faithful_regular_orbit(self):
         """True iff some orbit has size equal to the group order.
@@ -321,7 +289,7 @@ def two_equivalent(p1, p2):
     """Equal orbit partitions on ordered pairs."""
     if p1.degree != p2.degree:
         raise ValueError("groups act on different domains")
-    return {frozenset(o) for o in p1.orbitals()} == {frozenset(o) for o in p2.orbitals()}
+    return bool(np.array_equal(_orbital_labels(p1), _orbital_labels(p2)))
 
 
 def orbit_of(gens, point):
@@ -335,3 +303,53 @@ def orbit_of(gens, point):
                 seen.add(y)
                 queue.append(y)
     return seen
+
+
+def orbit_labels(tables, n):
+    """Block minima of the orbit partition of <tables> on 0..n-1, as int64.
+
+    `tables` is a sequence of permutations of 0..n-1 as index arrays.
+    Labels are pointers to smaller points of the same orbit, so they form a
+    forest whose roots are block minima.  For each table t in turn, every
+    pointer jumps to its root, and wherever the roots of i and t[i] differ
+    the larger root is hooked onto the smaller.  Passes repeat until no
+    table hooks a root (conditional hooking with pointer jumping, as in
+    Shiloach and Vishkin 1982).  Plain min-label propagation would move a
+    label one step per pass along an ascending cycle such as a translation
+    x -> x + 1; hooking roots joins such a cycle in one pass.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        hooked = False
+        for t in tables:
+            labels = _roots(labels)
+            images = labels[t]
+            apart = labels != images
+            if apart.any():
+                low, high = np.minimum(labels, images), np.maximum(labels, images)
+                np.minimum.at(labels, high[apart], low[apart])
+                hooked = True
+        if not hooked:
+            return labels
+
+
+def _roots(labels):
+    while True:
+        jumped = labels[labels]
+        if np.array_equal(jumped, labels):
+            return labels
+        labels = jumped
+
+
+def _orbital_labels(group):
+    """`orbit_labels` over pair codes a * n + b; g maps a code to g[a] * n + g[b]."""
+    n = group.degree
+    return orbit_labels([(g[:, None] * n + g).ravel() for g in group.generators], n * n)
+
+
+def _blocks(labels):
+    """Blocks of a block-minimum labelling, each ascending, by their minima."""
+    blocks = {}
+    for i, label in enumerate(labels.tolist()):
+        blocks.setdefault(label, []).append(i)
+    return list(blocks.values())

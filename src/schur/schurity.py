@@ -39,6 +39,7 @@ from . import sring as sr
 from .errors import BudgetExceeded
 
 DEFAULT_NODE_BUDGET = 500_000
+_MAX_TRIPLES = 200_000  # colour triples checked by verify_scheme_axioms
 
 
 def scheme_matrix(ring):
@@ -60,19 +61,20 @@ class CayleyScheme:
         return int(self.matrix[a, b])
 
 
-def cayley_scheme(ring, verify=True):
+def cayley_scheme(ring):
+    """The Cayley scheme of a ring, its axioms checked."""
     scheme = CayleyScheme(ring, scheme_matrix(ring))
-    if verify:
-        verify_scheme_axioms(scheme)
+    verify_scheme_axioms(scheme)
     return scheme
 
 
-def verify_scheme_axioms(scheme, max_triples=200_000):
+def verify_scheme_axioms(scheme):
     """Check the scheme axioms; a failure means an S-ring validation bug.
 
     Colors partition GxG by construction; the diagonal color, transpose
     closure, and the intermediate-count regularity (against one
-    representative pair per triple) are checked explicitly.
+    representative pair per triple) are checked explicitly, on every
+    triple up to _MAX_TRIPLES and on an evenly spaced sample beyond.
     """
     m = scheme.matrix
     ring = scheme.ring
@@ -84,7 +86,7 @@ def verify_scheme_axioms(scheme, max_triples=200_000):
         raise AssertionError("color set is not closed under transpose")
     rank = ring.rank
     triples = rank ** 3
-    step = max(1, triples // max_triples)
+    step = max(1, triples // _MAX_TRIPLES)
     idx = 0
     for t in range(rank):
         # one representative pair (f, g) with color t

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import group as grp
 from .errors import GroupMismatch
-from .groupring import class_products, set_product_vector
+from .groupring import class_products
 
 
 class SRingViolation(Exception):
@@ -59,7 +59,8 @@ class SRing:
         key = (min(x, y), max(x, y))  # commutative
         v = self._products.get(key)
         if v is None:
-            v = set_product_vector(self.group, self.class_arrays[x], self.class_arrays[y])
+            ys = self.class_arrays[y]
+            v = class_products(self.group, self.class_arrays[x], ys, np.zeros_like(ys), 1)[0]
             self._products[key] = v
         return v
 

@@ -7,6 +7,7 @@ wrappers around `run_claims`.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -18,20 +19,10 @@ from . import schurity as sch
 from . import sring as sr
 from .enumeration import classify_up_to_cayley, enumerate_srings
 from .errors import BudgetExceeded
-from .permaction import orbit_of
+from .permaction import orbit_labels, orbit_of
 
 
 # -- cyclotomic partition closure ---------------------------------------------
-
-
-def _cyclic_labels(table, n):
-    """Block-minimum labels of the orbit partition of <table>."""
-    lbl = [None] * n
-    for i in range(n):
-        if lbl[i] is None:
-            for j in orbit_of([table], i):
-                lbl[j] = i
-    return tuple(lbl)
 
 
 def _block_min(keys, values, size):
@@ -85,7 +76,12 @@ def cyclotomic_partition_orbits(group):
     """
     n = group.size
     auts = grp.automorphisms(group)
-    cyclic = dict.fromkeys(_cyclic_labels(f.table, n) for f in auts)
+    # every automorphism's cyclic partition at once, as one permutation of
+    # len(auts) disjoint copies of G
+    offsets = np.arange(len(auts), dtype=np.int64).reshape(-1, 1) * n
+    tables = np.array([f.table for f in auts], dtype=np.int64).reshape(-1, n) + offsets
+    rows = orbit_labels([tables.ravel()], tables.size).reshape(-1, n) - offsets
+    cyclic = dict.fromkeys(map(tuple, rows.tolist()))
     cyclic_rows = np.array(list(cyclic), dtype=np.int64)
     gens = np.array(
         [f.table for f in grp.generating_subset(auts)], dtype=np.int64
@@ -137,11 +133,9 @@ def abelian_group_orders_up_to(max_order):
                 if not rest or first <= rest[0]:
                     yield (first,) + rest
 
-    import itertools
-
     out = []
     for n in range(2, max_order + 1):
-        fac = sorted(_prime_factors_with_multiplicity(n).items())
+        fac = sorted(_factorize(n).items())
         combos = [list(exponent_partitions(k)) for _, k in fac]
         for combo in itertools.product(*combos):
             factors = []
@@ -151,7 +145,8 @@ def abelian_group_orders_up_to(max_order):
     return out
 
 
-def _prime_factors_with_multiplicity(m):
+def _factorize(m):
+    """{prime: multiplicity} for m >= 1."""
     out = {}
     p = 2
     while m > 1:
@@ -289,7 +284,7 @@ def _run(report, claim_id, fn, deadline):
     """Run one claim into the report; a claim due to start after the
     deadline does not run and is recorded as `budget`."""
     start = time.monotonic()
-    if deadline is not None and start > deadline:
+    if deadline is not None and start >= deadline:
         report.claims.append(Claim(claim_id, "budget", "not started: time limit reached", 0.0))
         return
     try:
@@ -315,7 +310,7 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
     report = Report()
     say = progress or (lambda s: None)
     d = grp.AbelianGroup([3, 3 ** n])
-    deadline = time.monotonic() + time_limit if time_limit else None
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
     state = {}
 
     def claim_enumerate():
@@ -330,7 +325,7 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
         rings = state["rings"]
         checked = 0
         for ring in rings:
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise BudgetExceeded(
                     "schurity verified for %d/%d rings before the time limit"
                     % (checked, len(rings))
@@ -427,7 +422,7 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
     def claim_property_suite():
         rings = state["rings"]
         for ring in rings:
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise BudgetExceeded("property suite timed out")
             check_structure_constant_identity(ring)
             check_product_sets(ring)
@@ -468,6 +463,8 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
 
 
 # -- per-ring property checks (exhaustive at desk scale) -----------------------
+
+_MAX_POWERSET_RANK = 12  # check_torsion_power_sets covers all A-sets up to this rank
 
 
 def check_structure_constant_identity(ring):
@@ -533,39 +530,26 @@ def check_power_maps(ring):
             assert frozenset(int(pm[i]) for i in c) in classes, (m, c)
 
 
-def check_torsion_power_sets(ring, max_rank_for_powerset=12):
+def check_torsion_power_sets(ring):
     """X^[p] is an A-set for A-sets X, p prime dividing |G|.
 
     Exhaustive over single classes and unions of two classes always, and
     over the full A-set lattice when the rank allows.
     """
-    import itertools
-
     g = ring.group
-    for p in sorted(_prime_factors(g.size)):
+    for p in sorted(_factorize(g.size)):
         sets = []
         for i in range(ring.rank):
             sets.append(ring.classes[i])
             for j in range(i + 1, ring.rank):
                 sets.append(ring.classes[i] | ring.classes[j])
-        if ring.rank <= max_rank_for_powerset:
+        if ring.rank <= _MAX_POWERSET_RANK:
             for k in range(3, ring.rank + 1):
                 for combo in itertools.combinations(range(ring.rank), k):
                     u = frozenset().union(*(ring.classes[i] for i in combo))
                     sets.append(u)
         for xs in sets:
             assert ring.is_a_set(ring.power_set_p(xs, p)), (p, sorted(xs))
-
-
-def _prime_factors(m):
-    out = set()
-    p = 2
-    while m > 1:
-        while m % p == 0:
-            out.add(p)
-            m //= p
-        p += 1
-    return out
 
 
 def check_separating_subgroups(ring):

@@ -175,6 +175,20 @@ def test_verify_paper_time_limit_stops_every_claim():
     assert "PASS" not in proc.stdout
 
 
+def test_enumerate_time_limit_zero_exits_2():
+    proc = run_cli(["enumerate", "--group", "3,9", "--time-limit", "0", "--jobs", "1"])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("name", ["MAX_ORDER", "TIME_LIMIT", "JOBS"])
+def test_malformed_environment_variable_is_usage_error(monkeypatch, capsys, name):
+    monkeypatch.setenv("SCHUR_" + name, "abc")
+    with pytest.raises(SystemExit) as e:
+        main(["enumerate", "--group", "3,3"])
+    assert e.value.code == 64
+    assert "error: bad SCHUR_%s 'abc'" % name in capsys.readouterr().err
+
+
 def test_main_entry_usage_error_code():
     with pytest.raises(SystemExit) as e:
         main(["enumerate"])  # missing --group

@@ -107,6 +107,11 @@ def test_time_out_keeps_the_progress_made(jobs):
     assert stats["nodes"] > 1
 
 
+def test_time_limit_zero_leaves_no_time():
+    with pytest.raises(BudgetExceeded):
+        enumerate_srings(AbelianGroup([3, 9]), time_limit=0)
+
+
 def test_time_out_at_the_root_keeps_its_progress():
     stats = _new_stats()
     with pytest.raises(BudgetExceeded, match=r"after [1-9][0-9]* nodes, [0-9]+ rings found"):

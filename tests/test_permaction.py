@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from schur import AbelianGroup, BudgetExceeded, PermGroup, right_translations, symmetric_group, two_equivalent
-from schur.permaction import compose, inverse, orbit_of
+from schur.permaction import compose, inverse, orbit_labels, orbit_of
 
 
 def brute_closure(gens, n):
@@ -170,3 +171,45 @@ def test_orbit_of_helper():
     g = AbelianGroup([3, 3])
     t = right_translations(g)
     assert orbit_of(t.generators, 0) == set(range(9))
+
+
+def test_orbit_labels_match_orbit_of():
+    rng = random.Random(17)
+    cases = [([], 1), ([], 6), ([np.zeros(1, dtype=np.int64)], 1)]
+    for n in (2, 9, 40):
+        cases.append(([np.roll(np.arange(n), -1)], n))  # x -> x + 1
+        cases.append(([np.roll(np.arange(n), 1)], n))
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            moved = rng.sample(range(n), rng.randint(0, n))
+            p = np.arange(n)
+            p[moved] = rng.sample(moved, len(moved))
+            gens.append(p)
+        cases.append((gens, n))
+    for gens, n in cases:
+        labels = orbit_labels(gens, n)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [min(orbit_of(gens, i)) for i in range(n)]
+
+
+def _brute_orbitals(gens, n):
+    closure = brute_closure(gens, n)
+    blocks = {frozenset((p[a], p[b]) for p in closure) for a in range(n) for b in range(n)}
+    return sorted(tuple(sorted(b)) for b in blocks)
+
+
+def test_orbitals_match_brute_force_closure():
+    rng = random.Random(23)
+    groups = []
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        gens = [np.array(rng.sample(range(n), n)) for _ in range(rng.randint(0, 2))]
+        expect = _brute_orbitals(gens, n)
+        group = PermGroup(gens, n)
+        assert group.orbitals() == expect
+        groups.append((group, expect))
+    for (g1, o1), (g2, o2) in itertools.combinations(groups, 2):
+        if g1.degree == g2.degree:
+            assert two_equivalent(g1, g2) == (o1 == o2)

@@ -47,7 +47,7 @@ def test_rank2_scheme_two_colors():
 
 def test_scheme_axioms_and_intermediate_counts(rings_z9):
     for ring in rings_z9:
-        s = cayley_scheme(ring, verify=True)
+        s = cayley_scheme(ring)
         # condition (4) directly, against the structure constants
         m = s.matrix
         for t in range(ring.rank):
@@ -319,8 +319,20 @@ def test_quasi_thin_schurian_with_orthogonals():
 def test_verify_scheme_axioms_catches_corruption():
     g = AbelianGroup([9])
     ring = validate(g, [[(0,)], [(k,) for k in range(1, 9)]])
-    s = cayley_scheme(ring, verify=True)
+    s = cayley_scheme(ring)
     s.matrix = s.matrix.copy()
     s.matrix[0, 0] = 1
     with pytest.raises(AssertionError):
         verify_scheme_axioms(s)
+
+
+@pytest.mark.parametrize("orders, nonschurian", [((3, 9), 0), ((5, 5), 125)], ids=["3x9", "5x5"])
+def test_orbitals_of_aut_are_the_colour_classes_iff_schurian(orders, nonschurian):
+    found = 0
+    for ring in rings_over(*orders):
+        rep = is_schurian(ring)
+        m = scheme_matrix(ring)
+        colours = sorted(tuple(map(tuple, np.argwhere(m == c).tolist())) for c in range(ring.rank))
+        assert (rep.aut.orbitals() == colours) == rep.schurian
+        found += not rep.schurian
+    assert found == nonschurian

@@ -10,6 +10,12 @@ def test_claims_due_after_the_time_limit_do_not_run():
     assert all(c.status == "budget" for c in report.claims)
 
 
+def test_time_limit_zero_runs_no_claim():
+    report = run_claims(2, time_limit=0)
+    assert report.claims
+    assert all(c.status == "budget" for c in report.claims)
+
+
 # -- oracle: the full-list closure, pure Python, union-find joins --------------
 
 
