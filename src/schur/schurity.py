@@ -11,6 +11,15 @@ straight into the stabilizer of e.  Generators found along the way prune
 sibling branches via orbit computations; the result is deterministic as a
 set of generators.
 
+Each ordered partition is held as two arrays for the whole search, the
+vertices in cell order and the start of each position's cell, and is
+refined against a queue of splitter cells (McKay and Piperno 2014).
+Individualizing v in a stable partition queues only the singleton {v}:
+the rest of v's old cell needs no turn, by Hopcroft's rule.  A singleton
+splitter costs one column of the colour matrix, and nothing more when that
+column splits no cell.  `node_budget` still counts one refinement per
+individualized vertex, however many splitters it takes.
+
 The first path (always the first vertex of the branch cell) is refined
 once: `build` records each of its steps, and `find_one`, which looks for an
 automorphism mapping the first path onto a candidate path, reads its side
@@ -29,6 +38,7 @@ those generate Aut_e, of order |Aut|/|G|.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,68 +123,96 @@ def intermediate_count(scheme, f, g, r, s):
 
 
 # -- refinement ---------------------------------------------------------------
+#
+# An ordered partition of the n vertices is a pair of arrays: `lab`, the
+# vertices in cell order, each cell ascending; and `start`, for each position,
+# the position where its cell begins.  A cell is the slice lab[s:e] on which
+# start equals s, so `start` is non-decreasing and start[p] == p marks a cell
+# start.  Refinement only ever splits cells, so a cell start stays a cell start.
 
 
-def _refine(m, rank, cells):
-    """Refine cells to color-degree stability.
+def _cell_end(start, s):
+    return int(start.searchsorted(s, "right"))
 
-    Returns (cells, trace): cells are index arrays ordered deterministically
-    and equivariantly (old cell position, then signature bytes); the trace
-    fingerprints every split decision, so two partitions that some color
-    automorphism maps onto each other always produce equal traces.
+
+def _refine(m, rank, lab, start, queue):
+    """Refine an ordered partition to colour-degree stability.
+
+    `queue` lists the starts of the cells to refine against (splitters).
+    A cell may be left out when the partition is stable against it, or
+    against its union with queued cells: the search individualizes v in a
+    stable partition and queues only {v}, and the unit partition queues
+    its one cell.  Returns new arrays (lab, start) and the trace; the
+    inputs are not modified.
+
+    Splitters are taken first in, first out.  A splitter S gives each
+    position a key: for S = {v}, the colour m[x, v]; otherwise x's count
+    of each colour into S, from one bincount.  When the key is constant on
+    every cell, nothing splits; otherwise one stable sort on (cell start,
+    key) splits each cell into fragments ordered by key, each still
+    ascending.  Every new fragment is queued.  The fragment that keeps its
+    parent's start is queued only if the parent was, since it already is
+    then (Hopcroft's rule: counts into it are the counts into the parent
+    minus those into the other fragments).
+
+    The trace holds, per splitter, its start, a hash of the keys in sorted
+    order and a hash of the new cell starts.  All three are read off
+    positions and colours, so a colour automorphism that maps one input
+    partition onto another maps the refined partitions onto each other
+    cell by cell, and their traces are equal (McKay and Piperno 2014).
     """
-    n = m.shape[0]
+    n = len(lab)
     trace = []
-    while True:
-        k = len(cells)
-        if k == n:
-            break
-        cell_id = np.empty(n, dtype=np.int64)
-        for idx, c in enumerate(cells):
-            cell_id[c] = idx
-        rows = np.concatenate([c for c in cells if len(c) > 1])
-        codes = m[rows].astype(np.int64) * k + cell_id[None, :]
-        width = rank * k
-        flat = codes + (np.arange(len(rows), dtype=np.int64) * width)[:, None]
-        counts = np.bincount(flat.ravel(), minlength=len(rows) * width)
-        counts = counts.reshape(len(rows), width).astype(np.int32)
-        sig_of = {}
-        for pos, v in enumerate(rows):
-            sig_of[int(v)] = counts[pos].tobytes()
-        new_cells = []
-        round_trace = []
-        changed = False
-        for ci, c in enumerate(cells):
-            if len(c) == 1:
-                new_cells.append(c)
+    queue = deque(queue)
+    while queue:
+        s = queue.popleft()
+        e = _cell_end(start, s)
+        if e - s == 1:
+            key = m[lab, lab[s]]
+            if (key == key[start]).all():
+                trace.append((s, hash(key.tobytes())))
                 continue
-            groups = {}
-            for v in c:
-                groups.setdefault(sig_of[int(v)], []).append(int(v))
-            if len(groups) > 1:
-                changed = True
-            for sig in sorted(groups):
-                new_cells.append(np.array(sorted(groups[sig]), dtype=np.int64))
-                round_trace.append((ci, hash(sig), len(groups[sig])))
-        trace.append(tuple(round_trace))
-        cells = new_cells
-        if not changed:
-            break
-    return cells, tuple(trace)
+            order = np.argsort(start * rank + key, kind="stable")
+            key = key[order]
+            new = key[1:] != key[:-1]
+        else:
+            rows = m[lab[:, None], lab[s:e]] + (np.arange(n) * rank)[:, None]
+            key = np.bincount(rows.ravel(), minlength=n * rank).reshape(n, rank)
+            if (key == key[start]).all():
+                trace.append((s, hash(key.tobytes())))
+                continue
+            order = np.lexsort(np.vstack([key.T[::-1], start]))
+            key = key[order]
+            new = (key[1:] != key[:-1]).any(axis=1)
+        new &= start[1:] == start[:-1]
+        heads = np.flatnonzero(new) + 1
+        lab = lab[order]
+        start = start.copy()
+        start[heads] = heads
+        np.maximum.accumulate(start, out=start)
+        trace.append((s, hash(key.tobytes()), hash(heads.tobytes())))
+        queue.extend(heads.tolist())
+    return lab, start, tuple(trace)
 
 
-def _individualize(cells, ci, v):
-    cell = cells[ci]
-    rest = cell[cell != v]
-    return cells[:ci] + [np.array([v], dtype=np.int64), rest] + cells[ci + 1:]
+def _individualize(lab, start, s, v):
+    """Split v off the front of the cell that starts at s."""
+    e = _cell_end(start, s)
+    lab, start = lab.copy(), start.copy()
+    cell = lab[s:e]
+    cell[1:] = cell[cell != v]
+    cell[0] = v
+    start[s + 1:e] = s + 1
+    return lab, start
 
 
-def _branch_index(cells):
-    best, best_size = -1, None
-    for i, c in enumerate(cells):
-        if len(c) > 1 and (best_size is None or len(c) < best_size):
-            best, best_size = i, len(c)
-    return best
+def _branch_index(start):
+    """The start of the first smallest non-singleton cell, or -1 when the
+    partition is discrete."""
+    sizes = np.bincount(start, minlength=len(start))
+    sizes[sizes < 2] = len(start) + 1
+    s = int(np.argmin(sizes))
+    return -1 if sizes[s] > len(start) else s
 
 
 # -- the search ---------------------------------------------------------------
@@ -208,10 +246,10 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
     gens = list(pa.right_translations(g).generators)
     translations = len(gens)
     nodes = 0
-    # first-path steps (branch index, vertex, refined cells, trace), by depth
+    # first-path steps (branch cell start, vertex, refined lab, trace), by depth
     path = []
 
-    def ind_ref(cells, ci, v):
+    def ind_ref(lab, start, s, v):
         nonlocal nodes
         if nodes == node_budget:
             raise BudgetExceeded(
@@ -219,58 +257,56 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
                 "%d generators found" % (nodes, len(gens))
             )
         nodes += 1
-        return _refine(m, rank, _individualize(cells, ci, v))
+        return _refine(m, rank, *_individualize(lab, start, s, v), [s])
 
-    def leaf_perm(c1, c2):
+    def leaf_perm(lab1, lab2):
         f = np.empty(n, dtype=np.int64)
-        for a, b in zip(c1, c2):
-            f[int(a[0])] = int(b[0])
+        f[lab1] = lab2
         if np.array_equal(m[np.ix_(f, f)], m):
             return f
         return None
 
-    def find_one(depth, c2):
+    def find_one(depth, lab2, start2):
         """An automorphism mapping the first path from `depth` on onto a path
-        below the candidate partition c2, or None.
+        below the candidate partition (lab2, start2), or None.
 
         The first-path side is read from `path`, so only the candidate side
         is refined."""
         if depth == len(path):
-            return leaf_perm(path[-1][2], c2)
-        i, _, _, f1 = path[depth]
-        for w in c2[i]:
-            s2, f2 = ind_ref(c2, i, int(w))
+            return leaf_perm(path[-1][2], lab2)
+        s, _, _, f1 = path[depth]
+        for w in lab2[s:_cell_end(start2, s)].tolist():
+            lab3, start3, f2 = ind_ref(lab2, start2, s, w)
             if f2 != f1:
                 continue
-            r = find_one(depth + 1, s2)
+            r = find_one(depth + 1, lab3, start3)
             if r is not None:
                 return r
         return None
 
-    def build(cells):
+    def build(lab, start):
         """Extend gens to generate the stabilizer of the first-path vertices
         fixed so far; its order.  Records each first-path step in `path`
         before descending, so the first path is refined once."""
-        if len(cells) == n:
+        s = _branch_index(start)
+        if s < 0:
             return 1
         depth = len(path)
         fixed = [v for _, v, _, _ in path]
-        i = _branch_index(cells)
-        cell = cells[i]
-        v = int(cell[0])
-        sv, fv = ind_ref(cells, i, v)
-        path.append((i, v, sv, fv))
-        below = build(sv)
+        cell = lab[s:_cell_end(start, s)].tolist()
+        v = cell[0]
+        labv, startv, fv = ind_ref(lab, start, s, v)
+        path.append((s, v, labv, fv))
+        below = build(labv, startv)
         fixing = [p for p in gens if all(int(p[x]) == x for x in fixed)]
         orb = pa.orbit_of(fixing, v)
         for w in cell[1:]:
-            w = int(w)
             if w in orb:
                 continue
-            sw, fw = ind_ref(cells, i, w)
+            labw, startw, fw = ind_ref(lab, start, s, w)
             if fw != fv:
                 continue
-            r = find_one(depth + 1, sw)
+            r = find_one(depth + 1, labw, startw)
             if r is not None:
                 gens.append(r)
                 fixing.append(r)
@@ -279,9 +315,11 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
 
     # The translations make the scheme vertex-transitive, so the unit
     # partition is already stable and the first path starts at e.
-    cells0, _ = _refine(m, rank, [np.arange(n, dtype=np.int64)])
+    lab0, start0, _ = _refine(
+        m, rank, np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64), [0]
+    )
     try:
-        order = build(cells0)
+        order = build(lab0, start0)
     finally:
         _add_stats(stats, nodes, len(gens), len(path))
     aut = pa.PermGroup(gens, n)

@@ -189,6 +189,24 @@ def test_malformed_environment_variable_is_usage_error(monkeypatch, capsys, name
     assert "error: bad SCHUR_%s 'abc'" % name in capsys.readouterr().err
 
 
+def test_environment_variables_of_other_subcommands_are_not_read(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"group": [3], "classes": [[[0]], [[1]], [[2]]]}))
+    monkeypatch.setenv("SCHUR_TIME_LIMIT", "x")
+    with pytest.raises(SystemExit) as e:
+        main(["aut", str(path)])
+    assert e.value.code == 0
+    monkeypatch.delenv("SCHUR_TIME_LIMIT")
+    monkeypatch.setenv("SCHUR_JOBS", "abc")
+    with pytest.raises(SystemExit) as e:
+        main(["check", str(path)])
+    assert e.value.code == 0
+    with pytest.raises(SystemExit) as e:
+        main(["enumerate", "--group", "3,3"])
+    assert e.value.code == 64
+    assert "error: bad SCHUR_JOBS 'abc'" in capsys.readouterr().err
+
+
 def test_main_entry_usage_error_code():
     with pytest.raises(SystemExit) as e:
         main(["enumerate"])  # missing --group

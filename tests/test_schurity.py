@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from schur import permaction
+from schur import permaction, schurity
 from schur import (
     AbelianGroup,
     BudgetExceeded,
@@ -141,9 +141,9 @@ def test_search_order_and_stabilizer_match_schreier_sims(rings_z3z9):
 # (index among the Z3xZ27 cyclotomic representatives, rank, |Aut|, nodes,
 # generators): three of the widest automorphism groups there.
 WIDEST_Z3Z27 = [
-    (0, 6, 286511799958070431838109696, 1605, 59),
-    (4, 7, 35813974994758803979763712, 1605, 59),
-    (7, 7, 7958661109946400884391936, 1573, 57),
+    (0, 6, 286511799958070431838109696, 1593, 59),
+    (4, 7, 35813974994758803979763712, 1503, 56),
+    (7, 7, 7958661109946400884391936, 1569, 57),
 ]
 
 
@@ -151,7 +151,7 @@ def test_search_counts_regression(rings_z3z9):
     stats = {}
     for ring in rings_z3z9:
         is_schurian(ring, stats=stats)
-    assert stats == {"nodes": 21333, "generators": 3745, "depth": 3145}
+    assert stats == {"nodes": 21453, "generators": 3767, "depth": 3145}
     g81, reps = _z3z27_cyclotomic_reps()
     for idx, rank, order, nodes, generators in WIDEST_Z3Z27:
         ring = validate(g81, labels_to_classes(reps[idx]))
@@ -161,6 +161,115 @@ def test_search_counts_regression(rings_z3z9):
         assert (stats["nodes"], stats["generators"]) == (nodes, generators)
         assert stats["generators"] == len(rep.aut.generators)
         assert stats["depth"] == 54
+
+
+def _round_refine(m, rank, cells):
+    """Reference refinement, sharing no code with `schurity._refine`: every
+    round splits each cell by its rows' colour counts into every cell, until
+    a round splits nothing.  Returns each vertex's final cell index."""
+    n = m.shape[0]
+    while True:
+        k = len(cells)
+        cell_id = np.empty(n, dtype=np.int64)
+        for idx, c in enumerate(cells):
+            cell_id[c] = idx
+        if k == n:
+            return cell_id
+        rows = np.concatenate([c for c in cells if len(c) > 1])
+        codes = m[rows].astype(np.int64) * k + cell_id[None, :]
+        width = rank * k
+        flat = codes + (np.arange(len(rows), dtype=np.int64) * width)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=len(rows) * width)
+        counts = counts.reshape(len(rows), width)
+        sig_of = dict(zip(rows.tolist(), map(bytes, counts)))
+        new_cells = []
+        for c in cells:
+            if len(c) == 1:
+                new_cells.append(c)
+                continue
+            groups = {}
+            for v in c.tolist():
+                groups.setdefault(sig_of[v], []).append(v)
+            new_cells += [np.array(groups[sig]) for sig in sorted(groups)]
+        if len(new_cells) == k:
+            return cell_id
+        cells = new_cells
+
+
+def _cells(lab, start):
+    heads = np.flatnonzero(start == np.arange(len(start))).tolist()
+    return [lab[a:b] for a, b in zip(heads, heads[1:] + [len(lab)])]
+
+
+def _same_partition(lab, start, cell_id):
+    """Whether the cells of (lab, start) are, as sets, those that the cell
+    indices `cell_id` give."""
+    ids = cell_id[lab]
+    cells = np.count_nonzero(start == np.arange(len(lab)))
+    return bool((ids == ids[start]).all()) and cells == cell_id.max() + 1
+
+
+def _refinements(ring):
+    """(m, rank, lab, start, queue, result) of every `_refine` call made by
+    `is_schurian(ring)`, and its report."""
+    calls = []
+    refine = schurity._refine
+
+    def recorder(m, rank, lab, start, queue):
+        out = refine(m, rank, lab, start, queue)
+        calls.append((m, rank, lab, start, list(queue), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schurity, "_refine", recorder)
+        rep = is_schurian(ring)
+    return calls, rep
+
+
+def test_refinement_matches_round_based_oracle(rings_z3z9):
+    # the splitter queue must reach the coarsest equitable refinement, as
+    # the round-based oracle does, on every partition the search refines
+    g81, reps = _z3z27_cyclotomic_reps()
+    rings = list(rings_z3z9)
+    rings += [validate(g81, labels_to_classes(reps[i])) for i in (0, 7)]
+    rings += rings_over(5, 5)
+    nonschurian = checked = 0
+    for ring in rings:
+        calls, rep = _refinements(ring)
+        if ring.group.size == 25 and rep.schurian:
+            continue
+        nonschurian += not rep.schurian
+        for m, rank, lab, start, _, (lab2, start2, _) in calls:
+            assert _same_partition(lab2, start2, _round_refine(m, rank, _cells(lab, start)))
+            checked += 1
+    assert nonschurian == 125
+    assert checked > 20000
+
+
+def test_refinement_is_equivariant():
+    # for a colour automorphism g fixing e, refining g(pi) gives g applied
+    # to refine(pi), cell by cell in the same order, with the same trace
+    g81, reps = _z3z27_cyclotomic_reps()
+    rings = [validate(g81, labels_to_classes(reps[7]))]
+    rings += [r for r in rings_over(5, 5) if r.rank > 2][::40]
+    rng = random.Random(5)
+    checked = 0
+    for ring in rings:
+        calls, rep = _refinements(ring)
+        stab = [np.asarray(p) for p in rep.aut.point_stabilizer(0).generators]
+        if not stab:
+            continue
+        for g in (stab[0], rng.choice(stab)[rng.choice(stab)]):
+            if (g == np.arange(len(g))).all():
+                continue
+            checked += 1
+            for m, rank, lab, start, queue, (lab1, start1, trace1) in calls:
+                glab = g[lab][np.lexsort((g[lab], start))]
+                lab2, start2, trace2 = schurity._refine(m, rank, glab, start, queue)
+                assert np.array_equal(start2, start1)
+                assert np.array_equal(lab2, g[lab1][np.lexsort((g[lab1], start1))])
+                assert trace2 == trace1
+    assert checked == 23
 
 
 def test_search_stats_without_a_search():
