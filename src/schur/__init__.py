@@ -18,7 +18,6 @@ from .sring import (
     SRing,
     SRingViolation,
     canonical_c1,
-    cayley_isomorphic,
     generated,
     radical,
     validate,
@@ -61,7 +60,6 @@ __all__ = [
     "Subgroup",
     "automorphisms",
     "canonical_c1",
-    "cayley_isomorphic",
     "cayley_scheme",
     "classify_up_to_cayley",
     "cyclotomic",

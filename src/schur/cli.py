@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 from . import constructions as cons
 from . import group as grp
@@ -92,16 +93,21 @@ def _usage_error(msg):
     return EX_USAGE
 
 
-def _read_ring(path):
+def _read_json(path):
+    """The JSON document in a file, or on stdin for "-"; exits 64 when it
+    cannot be read or parsed."""
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as e:
         raise SystemExit(_usage_error(str(e)))
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         print("malformed JSON: %s" % e, file=sys.stderr)
         raise SystemExit(EX_USAGE)
+
+
+def _ring_from(data):
     try:
         return sr.from_json_dict(data)
     except sr.SRingViolation as e:
@@ -110,6 +116,10 @@ def _read_ring(path):
     except (KeyError, ValueError, TypeError) as e:
         print("malformed ring object: %s" % e, file=sys.stderr)
         raise SystemExit(EX_USAGE)
+
+
+def _read_ring(path):
+    return _ring_from(_read_json(path))
 
 
 def _emit(text, out):
@@ -245,21 +255,15 @@ def cmd_aut(args):
 
 
 def cmd_classify(args):
+    data = _read_json(args.rings)
+    items = data.get("rings") if isinstance(data, dict) else data
+    if not isinstance(items, list):
+        return _usage_error("expected a list of rings or an object with a \"rings\" list")
+    rings = [_ring_from(d) for d in items]
     try:
-        text = sys.stdin.read() if args.rings == "-" else open(args.rings).read()
-        data = json.loads(text)
-    except OSError as e:
+        classes = classify_up_to_cayley(rings)
+    except ValueError as e:  # rings over different groups, or not a union of orbits
         return _usage_error(str(e))
-    except json.JSONDecodeError as e:
-        print("malformed JSON: %s" % e, file=sys.stderr)
-        return EX_USAGE
-    items = data["rings"] if isinstance(data, dict) else data
-    try:
-        rings = [sr.from_json_dict(d) for d in items]
-    except sr.SRingViolation as e:
-        print("invalid S-ring: %s" % e, file=sys.stderr)
-        return EX_DATA
-    classes = classify_up_to_cayley(rings)
     doc = {
         "count": len(classes),
         "classes": [

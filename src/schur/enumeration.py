@@ -47,7 +47,7 @@ import numpy as np
 
 from . import group as grp
 from . import sring as sr
-from .errors import BudgetExceeded, CapExceeded
+from .errors import BudgetExceeded, CapExceeded, GroupMismatch
 from .groupring import class_products
 from .permaction import orbit_labels
 
@@ -379,14 +379,16 @@ def classify_up_to_cayley(rings, maps=None):
     `maps` (default: all of Aut(G)).
 
     Returns [(representative, size)] sorted by representative key; sizes sum
-    to the input count.  Each orbit is found by breadth-first search over the
-    few maps that `group.generating_subset` keeps, which closes under
-    composition and so gives the same orbits as the whole list.  Raises
-    ValueError when the rings are not a union of orbits.
+    to the input count.  Each orbit is closed by `sring.orbit_keys` under the
+    few maps that `group.generating_subset` keeps, which generate the same
+    group as the whole list.  Raises GroupMismatch when the rings lie over
+    different groups, and ValueError when they are not a union of orbits.
     """
     if not rings:
         return []
     group = rings[0].group
+    if any(r.group != group for r in rings):
+        raise GroupMismatch("rings over groups %s" % sorted({r.group.orders for r in rings}))
     maps = grp.automorphisms(group) if maps is None else maps
     tables = [f.table for f in grp.generating_subset(maps)]
     keys = {r.canonical_key(): r for r in rings}

@@ -70,6 +70,16 @@ class AbelianGroup:
         g = self.element(g)
         return tuple((a * int(m)) % mi for a, mi in zip(g, self.orders))
 
+    def indices(self, xs):
+        """Canonical indices of a collection of elements, each given as an
+        index or as residues; raises IndexError on an index outside
+        0..|G|-1."""
+        out = [x if isinstance(x, (int, np.integer)) else self.index[self.element(x)] for x in xs]
+        if out and not 0 <= min(out) <= max(out) < self.size:
+            bad = next(x for x in out if not 0 <= x < self.size)
+            raise IndexError("element index %d outside 0..%d" % (bad, self.size - 1))
+        return out
+
     def element_order(self, g):
         return int(self.order_table[self.index[self.element(g)]])
 

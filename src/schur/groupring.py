@@ -76,8 +76,7 @@ def zero(group):
 def sum_of_set(group, elements):
     """The simple sum of a subset of G: coefficient 1 on it, 0 elsewhere."""
     v = np.zeros(group.size, dtype=np.int64)
-    for g in elements:
-        i = g if isinstance(g, (int, np.integer)) else group.index[group.element(g)]
+    for i in group.indices(elements):
         if v[i]:
             raise ValueError("duplicate element in set")
         v[i] = 1

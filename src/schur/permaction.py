@@ -14,13 +14,18 @@ order and the stabilizer of e come out of the search itself), and
 no chain there; `contains()`, `chain()` and stabilizers of other
 points still do.
 
-Orbit partitions need no chain.  `orbit_labels(tables, n)` labels each
-point with the least point of its orbit under the group that the tables
-generate, in a few NumPy passes.  `PermGroup.orbits()` groups these labels
-into blocks; `orbitals()` and `two_equivalent` take them over the pair
-codes a * n + b.  The enumeration's root-orbit split and the cyclotomic
-partition closure in `verify` use the same kernel.  `orbit_of` is the
-breadth-first search for the orbit of one point.
+Orbits need no chain.  A partition of 0..n-1 is a row of block-minimum
+labels; `blocks` and `block_labels` convert it to and from its blocks.
+`orbit_labels(tables, n)` is the orbit partition of points under the group
+that the tables generate.  `PermGroup.orbits()`, `orbitals()` and
+`two_equivalent` (over pair codes a * n + b), the enumeration's root-orbit
+split and the cyclic partitions in `verify` use it.  The one
+partition-orbit kernel is `partition_orbits(rows, tables)`, a breadth-first
+closure of a set of partitions with one image function, `_relabel`; its
+callers are `sring.orbit_keys` (the enumeration closure,
+`classify_up_to_cayley` and catalog matching in `verify`) and
+`verify.cyclotomic_partition_orbits`.  `orbit_of` is the breadth-first
+search for the orbit of one point.
 """
 
 from __future__ import annotations
@@ -231,7 +236,7 @@ class PermGroup:
 
     def orbits(self):
         """Orbit partition on the domain, sorted."""
-        return [tuple(b) for b in _blocks(orbit_labels(self.generators, self.degree))]
+        return blocks(orbit_labels(self.generators, self.degree))
 
     def orbit(self, point):
         return frozenset(orbit_of(self.generators, point))
@@ -239,7 +244,7 @@ class PermGroup:
     def orbitals(self):
         """Orbit partition of the diagonal action on ordered pairs."""
         n = self.degree
-        return [tuple(divmod(c, n) for c in b) for b in _blocks(_orbital_labels(self))]
+        return [tuple(divmod(c, n) for c in b) for b in blocks(_orbital_labels(self))]
 
     def has_faithful_regular_orbit(self):
         """True iff some orbit has size equal to the group order.
@@ -347,9 +352,57 @@ def _orbital_labels(group):
     return orbit_labels([(g[:, None] * n + g).ravel() for g in group.generators], n * n)
 
 
-def _blocks(labels):
-    """Blocks of a block-minimum labelling, each ascending, by their minima."""
-    blocks = {}
-    for i, label in enumerate(labels.tolist()):
-        blocks.setdefault(label, []).append(i)
-    return list(blocks.values())
+def blocks(labels):
+    """Blocks of a block-minimum labelling, each an ascending tuple, by their
+    minima."""
+    out = {}
+    for i, label in enumerate(np.asarray(labels).tolist()):
+        out.setdefault(label, []).append(i)
+    return [tuple(b) for b in out.values()]
+
+
+def block_labels(parts):
+    """The block-minimum labels of a partition of 0..n-1, given by its
+    blocks, as a tuple; the inverse of `blocks`."""
+    labels = [0] * sum(map(len, parts))
+    for b in parts:
+        low = min(b)
+        for i in b:
+            labels[i] = low
+    return tuple(labels)
+
+
+def block_min(keys, values, size):
+    """Minimum of `values` over each key, read back at every key."""
+    low = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(low, keys.ravel(), values.ravel())
+    return low[keys]
+
+
+def _relabel(rows, tables):
+    """Images of partitions under bijections: row j * len(rows) + r is the
+    image of rows[r] under tables[j].
+
+    Partitions are rows of block-minimum labels, and so are the images."""
+    k, (m, n) = len(tables), rows.shape
+    keys = (np.arange(k * m, dtype=np.int64).reshape(k, m, 1) * n) + rows[None, :, :]
+    low = block_min(keys, np.broadcast_to(tables[:, None, :], (k, m, n)), k * m * n)
+    inverse = np.argsort(tables, axis=1)
+    return np.take_along_axis(low, inverse[:, None, :], axis=2).reshape(k * m, n)
+
+
+def partition_orbits(rows, tables):
+    """The union of the orbits of partitions, given as label tuples, under
+    the group that `tables` generate; each breadth-first level maps the
+    whole frontier under every table in one `_relabel` call."""
+    closed = set(rows)
+    if len(tables) == 0:
+        return closed
+    tables = np.asarray(tables, dtype=np.int64)
+    frontier = list(closed)
+    while frontier:
+        images = _relabel(np.array(frontier, dtype=np.int64), tables)
+        fresh = set(map(tuple, images.tolist())) - closed
+        closed |= fresh
+        frontier = list(fresh)
+    return closed

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions as cons
+from . import group as grp
 from . import permaction as pa
 from . import sring as sr
 from .errors import BudgetExceeded
@@ -114,12 +115,6 @@ def verify_scheme_axioms(scheme):
                     raise AssertionError(
                         "intermediate counts disagree with structure constants"
                     )
-
-
-def intermediate_count(scheme, f, g, r, s):
-    """|{h : color(f,h)=r and color(h,g)=s}| counted directly."""
-    m = scheme.matrix
-    return int(np.sum((m[f] == r) & (m[:, g] == s)))
 
 
 # -- refinement ---------------------------------------------------------------
@@ -417,9 +412,7 @@ def genwr_certificate(ring, upper, lower, node_budget=DEFAULT_NODE_BUDGET):
     A_{U/L} and, independently, direct schurity of A; report both."""
     section = sr.SectionRef(upper, lower)
     is_gw = cons.is_generalized_wreath(ring, upper, lower)
-    full = sr.SectionRef(
-        upper=_full_subgroup(ring), lower=lower
-    )
+    full = sr.SectionRef(upper=grp.full_subgroup(ring.group), lower=lower)
     a_u = ring.restrict(upper)
     a_gl = ring.quotient_ring(full)
     a_ul = ring.quotient_ring(section)
@@ -436,9 +429,3 @@ def genwr_certificate(ring, upper, lower, node_budget=DEFAULT_NODE_BUDGET):
         section_regular_orbit=regorb,
         schurian=direct.schurian,
     )
-
-
-def _full_subgroup(ring):
-    from . import group as grp
-
-    return grp.full_subgroup(ring.group)

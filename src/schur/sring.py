@@ -4,6 +4,11 @@ An S-ring is represented by its class partition: classes are frozensets of
 canonical element indices, listed in canonical order (sorted by smallest
 member, so class 0 is {e}).  `validate` is the single entry point that
 certifies a partition; everything downstream assumes a validated ring.
+
+Cayley isomorphism is orbit membership: `orbit_keys` closes a set of ring
+keys under a group of automorphisms with the one partition-orbit kernel,
+`permaction.partition_orbits`, for the enumeration closure,
+`classify_up_to_cayley` and the catalog matching in `verify`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from . import group as grp
-from .errors import GroupMismatch
+from . import permaction as pa
 from .groupring import class_products
 
 
@@ -81,10 +86,7 @@ class SRing:
     # -- A-sets and A-subgroups --------------------------------------------
 
     def members_of(self, xs):
-        return frozenset(
-            x if isinstance(x, (int, np.integer)) else self.group.index[self.group.element(x)]
-            for x in xs
-        )
+        return frozenset(self.group.indices(xs))
 
     def is_a_set(self, xs):
         xs = self.members_of(xs)
@@ -239,9 +241,10 @@ class SRing:
 def _canonical_classes(group, partition):
     classes = []
     for c in partition:
-        members = frozenset(
-            x if isinstance(x, (int, np.integer)) else group.index[group.element(x)]
-        for x in c)
+        try:
+            members = frozenset(group.indices(c))
+        except IndexError as e:
+            raise SRingViolation("not-partition", {"reason": str(e)})
         if not members:
             raise SRingViolation("not-partition", {"reason": "empty class"})
         classes.append(members)
@@ -329,9 +332,7 @@ def from_json(text):
 
 def radical(group, xs):
     """rad(X) = {g : Xg = X}; the translation stabilizer of X."""
-    xs = frozenset(
-        x if isinstance(x, (int, np.integer)) else group.index[group.element(x)] for x in xs
-    )
+    xs = frozenset(group.indices(xs))
     if not xs:
         raise ValueError("radical of the empty set is undefined")
     arr = np.array(sorted(xs), dtype=np.int64)
@@ -345,9 +346,7 @@ def radical(group, xs):
 
 def generated(group, xs):
     """The subgroup <X>."""
-    xs = [
-        x if isinstance(x, (int, np.integer)) else group.index[group.element(x)] for x in xs
-    ]
+    xs = group.indices(xs)
     if not xs:
         raise ValueError("closure of the empty set is undefined")
     return grp.subgroup(group, xs)
@@ -381,36 +380,9 @@ def canonical_c1(group):
     return (0, group.orders[1] // 3)
 
 
-def image_key(key, table):
-    """The canonical key of the image of a ring key under a map's table."""
-    return tuple(sorted(tuple(sorted(table[i] for i in c)) for c in key))
-
-
 def orbit_keys(keys, tables):
-    """The closure of a set of ring keys under the maps with these tables,
-    by breadth-first search."""
-    closed = set(keys)
-    frontier = list(closed)
-    while frontier:
-        fresh = {image_key(k, t) for k in frontier for t in tables} - closed
-        closed |= fresh
-        frontier = list(fresh)
-    return closed
-
-
-def cayley_isomorphic(a, b, maps=None):
-    """A group automorphism carrying S(A) onto S(B), or None.
-
-    Complete: scans the full automorphism group (or the supplied maps).
-    """
-    if a.group != b.group:
-        raise GroupMismatch("Cayley isomorphism needs identical group specs")
-    if a.rank != b.rank:
-        return None
-    if maps is None:
-        maps = grp.automorphisms(a.group)
-    target = set(b.classes)
-    for f in maps:
-        if all(f.apply_set(c) in target for c in a.classes) :
-            return f
-    return None
+    """The keys of every ring in the orbits of some ring keys under the group
+    that `tables` generate: `permaction.partition_orbits` over the keys'
+    block-minimum labels, read back as keys."""
+    labels = [pa.block_labels(key) for key in keys]
+    return {tuple(pa.blocks(row)) for row in pa.partition_orbits(labels, tables)}

@@ -3,6 +3,11 @@
 Each claim runs independently and reports pass/fail/budget with timings;
 the CLI's `verify-paper` subcommand and the acceptance test suite are thin
 wrappers around `run_claims`.
+
+Cayley isomorphism is orbit membership under the one partition-orbit
+kernel, `permaction.partition_orbits`: `catalog_keys` closes the catalog
+once, `e-c1-classes` compares least orbit keys with class representatives,
+and `cyclotomic_partition_orbits` closes its relabeling orbits with it.
 """
 
 from __future__ import annotations
@@ -19,29 +24,10 @@ from . import schurity as sch
 from . import sring as sr
 from .enumeration import classify_up_to_cayley, enumerate_srings
 from .errors import BudgetExceeded
-from .permaction import orbit_labels, orbit_of
+from .permaction import block_min, blocks, orbit_labels, orbit_of, partition_orbits
 
 
 # -- cyclotomic partition closure ---------------------------------------------
-
-
-def _block_min(keys, values, size):
-    """Minimum of `values` over each key, read back at every key."""
-    low = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(low, keys.ravel(), values.ravel())
-    return low[keys]
-
-
-def _relabel(rows, tables):
-    """Images of partitions under bijections: row j * len(rows) + r is the
-    image of rows[r] under tables[j].
-
-    Partitions are rows of block-minimum labels, and so are the images."""
-    k, (m, n) = len(tables), rows.shape
-    keys = (np.arange(k * m, dtype=np.int64).reshape(k, m, 1) * n) + rows[None, :, :]
-    low = _block_min(keys, np.broadcast_to(tables[:, None, :], (k, m, n)), k * m * n)
-    inverse = np.argsort(tables, axis=1)
-    return np.take_along_axis(low, inverse[:, None, :], axis=2).reshape(k * m, n)
 
 
 def _joins(p, cyclic):
@@ -53,7 +39,7 @@ def _joins(p, cyclic):
     p_keys, q_keys = offsets + p, offsets + cyclic
     labels = np.minimum(p, cyclic)
     while True:
-        moved = _block_min(q_keys, _block_min(p_keys, labels, c * n), c * n)
+        moved = block_min(q_keys, block_min(p_keys, labels, c * n), c * n)
         if np.array_equal(moved, labels):
             return labels
         labels = moved
@@ -70,7 +56,7 @@ def cyclotomic_partition_orbits(group):
     reaches the whole closure.
 
     Partitions are tuples of block-minimum labels.  Relabeling orbits are
-    found by breadth-first search over the few automorphisms that
+    closed by `permaction.partition_orbits` under the few automorphisms that
     `group.generating_subset` keeps, and the joins of one representative
     with every cyclic partition are taken in one NumPy pass.
     """
@@ -93,15 +79,7 @@ def cyclotomic_partition_orbits(group):
         for lbl in partitions:
             if lbl in known:
                 continue
-            orbit = {lbl}
-            frontier = [lbl]
-            while frontier:
-                images = _relabel(np.array(frontier, dtype=np.int64), gens)
-                frontier = []
-                for image in map(tuple, images.tolist()):
-                    if image not in orbit:
-                        orbit.add(image)
-                        frontier.append(image)
+            orbit = partition_orbits([lbl], gens)
             known.update(orbit)
             reps.append(min(orbit))
 
@@ -114,11 +92,8 @@ def cyclotomic_partition_orbits(group):
     return sorted(reps), known
 
 
-def labels_to_classes(labels):
-    blocks = {}
-    for i, l in enumerate(labels):
-        blocks.setdefault(l, []).append(i)
-    return [frozenset(b) for b in blocks.values()]
+# the classes of a partition given by its block-minimum labels
+labels_to_classes = blocks
 
 
 def abelian_group_orders_up_to(max_order):
@@ -243,8 +218,15 @@ def wreath_section_trichotomy(ring):
     return False
 
 
-def matches_catalog(ring, catalog, maps):
-    return any(sr.cayley_isomorphic(ring, c, maps=maps) is not None for c in catalog)
+def catalog_keys(n):
+    """Keys of every ring Cayley-isomorphic to a catalog ring over
+    Z3 x Z3^n: the ten Table 1 rows and rows 6..9 with the other resolution
+    of c1, closed once under Aut(D)."""
+    catalog = [cons.table1(i, n) for i in range(10)]
+    catalog += [cons.table1(i, n, mirror=True) for i in range(6, 10)]
+    d = catalog[0].group
+    tables = [f.table for f in grp.generating_subset(grp.automorphisms(d))]
+    return sr.orbit_keys([c.canonical_key() for c in catalog], tables)
 
 
 # -- claim runner --------------------------------------------------------------
@@ -346,17 +328,11 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
         maps = c1_preserving_automorphisms(e)
         classes = classify_up_to_cayley(withc1, maps=maps)
         assert len(classes) == 9, "expected 9 classes, got %d" % len(classes)
-        catalog = e_c1_catalog()
-        matched = set()
-        for form in catalog:
-            hits = [
-                i
-                for i, (rep, _) in enumerate(classes)
-                if sr.cayley_isomorphic(form, rep, maps=maps) is not None
-            ]
-            assert len(hits) == 1, "catalog form must match exactly one class"
-            matched.add(hits[0])
-        assert matched == set(range(9)), "classes and catalog forms must biject"
+        reps = [rep.canonical_key() for rep, _ in classes]
+        tables = [f.table for f in grp.generating_subset(maps)]
+        least = [min(sr.orbit_keys([f.canonical_key()], tables)) for f in e_c1_catalog()]
+        assert set(least) <= set(reps), "a catalog form matches no class"
+        assert sorted(least) == reps, "classes and catalog forms must biject"
         return "9 classes matching the catalog forms"
 
     def claim_catalog_rows():
@@ -372,11 +348,9 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
     def claim_regular_classification():
         rings = state["rings"]
         reg = [r for r in rings if r.is_regular() and r.ring_radical().order == 1]
-        catalog = [cons.table1(i, n) for i in range(10)]
-        catalog += [cons.table1(i, n, mirror=True) for i in range(6, 10)]
-        maps = grp.automorphisms(d)
+        keys = catalog_keys(n)
         for ring in reg:
-            assert matches_catalog(ring, catalog, maps), (
+            assert ring.canonical_key() in keys, (
                 "regular trivial-radical ring not in catalog: %s" % ring.to_json()
             )
         return "%d regular trivial-radical rings all catalogued" % len(reg)
@@ -580,7 +554,6 @@ def check_order_layer_cosets(ring):
     c1 = g.index[sr.canonical_c1(g)]
     c1sq = g.iinv(c1)
     for c in ring.classes:
-        orders = sorted({int(g.order_table[i]) for i in c})
         for a in c:
             oa = int(g.order_table[a])
             if oa < 9:

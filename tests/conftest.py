@@ -48,3 +48,16 @@ def all_small_ring_sets():
         key: rings_over(*key)
         for key in [(2,), (3,), (4,), (2, 2), (9,), (3, 3), (27,), (3, 9)]
     }
+
+
+def scan_isomorphism(a, b, maps):
+    """Oracle for Cayley isomorphism: the first of `maps` that carries every
+    class of ring a onto a class of ring b, or None.  It scans the maps one
+    by one and shares no code with the library's orbit kernel."""
+    if a.rank != b.rank:
+        return None
+    target = set(b.classes)
+    for f in maps:
+        if all(frozenset(f.table[i] for i in c) in target for c in a.classes):
+            return f
+    return None

@@ -10,7 +10,6 @@ import pytest
 from schur import (
     AbelianGroup,
     automorphisms,
-    cayley_isomorphic,
     is_schurian,
     table1,
 )
@@ -42,7 +41,7 @@ from schur.verify import (
     wreath_section_trichotomy,
 )
 
-from conftest import all_small_ring_sets, rings_over, stretch
+from conftest import all_small_ring_sets, rings_over, scan_isomorphism, stretch
 
 
 def _report(name, detail, start):
@@ -75,7 +74,7 @@ def test_criterion_2_nine_classes_over_e():
         hits = [
             i
             for i, (rep, _) in enumerate(classes)
-            if cayley_isomorphic(form, rep, maps=maps) is not None
+            if scan_isomorphism(form, rep, maps) is not None
         ]
         assert len(hits) == 1, "form %d matched %r" % (k + 1, hits)
         matched[k] = hits[0]
@@ -142,7 +141,7 @@ def test_criterion_4_completeness_at_n2():
     maps = automorphisms(AbelianGroup([3, 9]))
     for ring in reg:
         assert any(
-            cayley_isomorphic(ring, c, maps=maps) is not None for c in catalog
+            scan_isomorphism(ring, c, maps) is not None for c in catalog
         ), ring.to_json()
     assert time.time() - t0 < 600
     _report(

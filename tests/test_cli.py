@@ -211,3 +211,23 @@ def test_main_entry_usage_error_code():
     with pytest.raises(SystemExit) as e:
         main(["enumerate"])  # missing --group
     assert e.value.code == 64
+
+
+_Z3 = {"group": [3], "classes": [[[0]], [[1]], [[2]]]}
+_Z2Z2 = {"group": [2, 2], "classes": [[[0, 0]], [[0, 1]], [[1, 0]], [[1, 1]]]}
+# Aut(Z2 x Z2) moves (0, 1) out of its singleton class
+_Z2Z2_WREATH = {"group": [2, 2], "classes": [[[0, 0]], [[0, 1]], [[1, 0], [1, 1]]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"ring": []}, [{"group": [3, 3]}], [_Z3, _Z2Z2], [_Z2Z2_WREATH]],
+    ids=["no-rings-list", "ring-without-classes", "mixed-groups", "not-a-union-of-orbits"],
+)
+def test_classify_malformed_input_is_usage_error(tmp_path, capsys, doc):
+    path = tmp_path / "rings.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as e:
+        main(["classify", str(path)])
+    assert e.value.code == 64
+    assert capsys.readouterr().err

@@ -22,7 +22,7 @@ from schur import (
     wreath,
 )
 from schur.group import full_subgroup, subgroup
-from schur.schurity import intermediate_count, scheme_matrix, verify_scheme_axioms
+from schur.schurity import scheme_matrix, verify_scheme_axioms
 from schur.verify import cyclotomic_partition_orbits, labels_to_classes
 
 from conftest import rings_over
@@ -43,6 +43,12 @@ def test_rank2_scheme_two_colors():
     rank2 = validate(g, [[g.elements[0]], [t for t in g.elements if t != (0, 0)]])
     s = cayley_scheme(rank2)
     assert set(np.unique(s.matrix)) == {0, 1}
+
+
+def intermediate_count(scheme, f, g, r, s):
+    """|{h : color(f,h)=r and color(h,g)=s}| counted directly."""
+    m = scheme.matrix
+    return int(np.sum((m[f] == r) & (m[:, g] == s)))
 
 
 def test_scheme_axioms_and_intermediate_counts(rings_z9):

@@ -1,7 +1,14 @@
 import pytest
 
-from schur import AbelianGroup, automorphisms
-from schur.verify import abelian_group_orders_up_to, cyclotomic_partition_orbits, run_claims
+from schur import AbelianGroup, automorphisms, table1
+from schur.verify import (
+    abelian_group_orders_up_to,
+    catalog_keys,
+    cyclotomic_partition_orbits,
+    run_claims,
+)
+
+from conftest import scan_isomorphism
 
 
 def test_claims_due_after_the_time_limit_do_not_run():
@@ -91,3 +98,18 @@ def test_cyclotomic_partition_counts_on_large_groups(orders, reps, partitions):
     # number of S-rings that enumeration finds over Z3 x Z3 x Z3
     found, known = cyclotomic_partition_orbits(AbelianGroup(orders))
     assert (len(found), len(known)) == (reps, partitions)
+
+
+def test_catalog_membership_matches_the_map_scan_on_every_ring(rings_z3z9):
+    # every ring over Z3 x Z9, not only the regular trivial-radical ones the
+    # claim asks about, so that rings outside the catalog are tested too
+    catalog = [table1(i, 2) for i in range(10)]
+    catalog += [table1(i, 2, mirror=True) for i in range(6, 10)]
+    maps = automorphisms(AbelianGroup([3, 9]))
+    keys = catalog_keys(2)
+    matched = 0
+    for ring in rings_z3z9:
+        scanned = any(scan_isomorphism(ring, c, maps) is not None for c in catalog)
+        assert (ring.canonical_key() in keys) == scanned, ring.to_json()
+        matched += scanned
+    assert len(rings_z3z9) == 391 and 0 < matched < 391
