@@ -28,9 +28,14 @@ the search:
       h(X).  So only the least root candidate of each H-orbit is searched,
       and the rings found are then closed under generators of H.
 
-Leaves always pass full validation, so pruning soundness affects only
-completeness.  The brute-force oracle `enumerate_srings_brute`, which
-filters every set partition and is capped at order 9, cross-checks it.
+Candidate classes are sorted index tuples.  A leaf is certified from the
+search's own state, with no second pass: the product rows that partial
+module closure kept cover every pair of non-identity classes, so the leaf
+checks each row constant on every class, and checks inverse closure
+(`_Search._leaf`).  These are the axioms `sring.validate` checks, so
+pruning soundness affects only completeness.  The brute-force oracle
+`enumerate_srings_brute`, which filters every set partition through
+`sring.validate` and is capped at order 9, cross-checks it.
 All S-ring counts produced here are artifact regression constants; they are
 not published values.
 """
@@ -86,9 +91,10 @@ class _Search:
         self.class_of = np.full(self.n, -1, dtype=np.int64)
         self.class_of[0] = 0
         self.rep = np.zeros(self.n, dtype=np.int64)  # each assigned element's class minimum
-        self.completed = [(frozenset([0]), np.array([0], dtype=np.int64))]
-        self.rows = []  # product vectors of completed non-identity class pairs
-        self._rows_added = []
+        self.completed = [np.array([0], dtype=np.int64)]  # class arrays, by least element
+        # per completed non-identity class X, the product vectors X*C for the
+        # non-identity classes C completed up to X, X itself included
+        self.rows = []
         self.results = []
 
     def _tick(self):
@@ -114,13 +120,21 @@ class _Search:
         return int(free[0]) if free.size else None
 
     def _leaf(self):
+        """Certify the completed partition as an S-ring from the search state.
+
+        Every element is assigned, the classes are disjoint and {e} is
+        class 0.  `rows` holds X*C for every pair of non-identity classes,
+        and X*{e} = X, so module closure is every row being constant on
+        every class.  Inverse closure is the class of x^-1 being constant
+        on each class.  The key is `completed` as it stands, classes in
+        order of their least element, as `SRing.canonical_key` gives it."""
         self.stats["leaves"] += 1
-        try:
-            ring = sr.validate(self.group, [c for c, _ in self.completed])
-        except sr.SRingViolation:
+        rows = np.concatenate(self.rows) if self.rows else np.zeros((0, self.n), dtype=np.int64)
+        inverse = self.class_of[self.group.inv_table]
+        if not ((rows == rows[:, self.rep]).all() and (inverse == inverse[self.rep]).all()):
             self.stats["leaf_rejects"] += 1
             return
-        self.results.append(ring.canonical_key())
+        self.results.append(tuple(tuple(arr.tolist()) for arr in self.completed))
 
     # -- candidate generation ----------------------------------------------------
 
@@ -132,7 +146,7 @@ class _Search:
         free = self.class_of < 0
         eligible = [int(i) for i in np.nonzero(free)[0] if i > pivot]
         if self.rows:
-            prof = np.array(self.rows)
+            prof = np.concatenate(self.rows)
             keep = np.all(prof[:, eligible] == prof[:, [pivot]], axis=0)
             self.stats["profile_filtered"] += len(eligible) - int(keep.sum())
             eligible = [y for y, k in zip(eligible, keep) if k]
@@ -155,39 +169,41 @@ class _Search:
                 found.append(tuple(sorted(itertools.chain(block[pivot], *pick))))
         found.sort(key=lambda t: (len(t), t))
         self.stats["candidates"] += len(found)
-        return [frozenset(t) for t in found]
+        return found
 
     def _forced_candidate(self, pivot):
         """Pivot class dictated by a power image of a completed class.
 
-        Returns None when nothing forces, else (ok, candidate)."""
+        Returns None when nothing forces, else (ok, candidate), the
+        candidate a sorted index tuple."""
         forcing = self.class_of[self.roots[pivot]]
         outcome = None
         for j in np.flatnonzero(forcing >= 0):
-            image = frozenset(self.powers[j, self.completed[forcing[j]][1]].tolist())
+            image = np.sort(self.powers[j, self.completed[forcing[j]]])
             if outcome is None:
                 outcome = image
-            elif outcome != image:
+            elif not np.array_equal(outcome, image):
                 self.stats["prune_forced"] += 1
                 return (False, None)
         if outcome is None:
             return None
-        if any(self.class_of[i] >= 0 for i in outcome):
+        if (self.class_of[outcome] >= 0).any():
             self.stats["prune_forced"] += 1
             return (False, None)
-        return (True, outcome)
+        return (True, tuple(outcome.tolist()))
 
     # -- assignment --------------------------------------------------------------
 
     def _assign(self, members):
-        """Make `members` the next class if partial module closure holds.
+        """Make `members`, a sorted index tuple, the next class if partial
+        module closure holds.
 
         One `class_products` call gives X*C for every assigned class C and
         X*X; each such row must be constant on every assigned class, which
         is one comparison against the class's first member (`rep`).  Rows
         for products of earlier classes were checked when those were
         assigned, and the row X*{e} = X is constant on every class."""
-        arr = np.array(sorted(members), dtype=np.int64)
+        arr = np.array(members, dtype=np.int64)
         k = len(self.completed)
         self.class_of[arr] = k
         self.rep[arr] = arr[0]
@@ -197,15 +213,13 @@ class _Search:
             self.class_of[arr] = -1
             self.stats["prune_module"] += 1
             return False
-        self.rows.extend(rows)
-        self._rows_added.append(len(rows))
-        self.completed.append((frozenset(int(i) for i in arr), arr))
+        self.rows.append(rows)
+        self.completed.append(arr)
         return True
 
     def _unassign(self):
-        members, arr = self.completed.pop()
-        self.class_of[arr] = -1
-        del self.rows[-self._rows_added.pop():]
+        self.class_of[self.completed.pop()] = -1
+        self.rows.pop()
 
 
 def _check_deadline(deadline):
@@ -215,7 +229,9 @@ def _check_deadline(deadline):
 
 def _new_stats():
     """Zeroed search counters.  `leaves` counts the leaves searched, which
-    lie below root-orbit representatives only, not the rings returned.
+    lie below root-orbit representatives only, not the rings returned;
+    `leaf_rejects` counts the leaves whose certificate (`_Search._leaf`)
+    fails, on module or inverse closure.
     `prune_multiplier` counts, per unforced node and subgroup K of the
     multiplier group, the eligible elements of other wholly unassigned
     multiplier orbits that K rejects: y^K leaves the allowed elements, or

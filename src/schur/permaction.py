@@ -391,18 +391,28 @@ def _relabel(rows, tables):
     return np.take_along_axis(low, inverse[:, None, :], axis=2).reshape(k * m, n)
 
 
+# Table x row x point entries that one `_relabel` call maps; it bounds the
+# arrays of a breadth-first level, which hold several times this many int64s.
+_RELABEL_ENTRIES = 1 << 16
+
+
 def partition_orbits(rows, tables):
     """The union of the orbits of partitions, given as label tuples, under
-    the group that `tables` generate; each breadth-first level maps the
-    whole frontier under every table in one `_relabel` call."""
+    the group that `tables` generate; each breadth-first level maps its
+    frontier under every table in `_relabel` calls over slices of at most
+    `_RELABEL_ENTRIES` entries."""
     closed = set(rows)
     if len(tables) == 0:
         return closed
     tables = np.asarray(tables, dtype=np.int64)
+    step = max(1, _RELABEL_ENTRIES // tables.size)
     frontier = list(closed)
     while frontier:
-        images = _relabel(np.array(frontier, dtype=np.int64), tables)
-        fresh = set(map(tuple, images.tolist())) - closed
+        fresh = set()
+        for lo in range(0, len(frontier), step):
+            images = _relabel(np.array(frontier[lo:lo + step], dtype=np.int64), tables)
+            fresh.update(map(tuple, images.tolist()))
+        fresh -= closed
         closed |= fresh
         frontier = list(fresh)
     return closed

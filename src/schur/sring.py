@@ -2,8 +2,10 @@
 
 An S-ring is represented by its class partition: classes are frozensets of
 canonical element indices, listed in canonical order (sorted by smallest
-member, so class 0 is {e}).  `validate` is the single entry point that
-certifies a partition; everything downstream assumes a validated ring.
+member, so class 0 is {e}).  `validate` is the public entry point that
+certifies a partition; the enumeration search certifies its leaves from
+its own product rows and builds its rings directly.  Everything downstream
+assumes a certified ring.
 
 Cayley isomorphism is orbit membership: `orbit_keys` closes a set of ring
 keys under a group of automorphisms with the one partition-orbit kernel,

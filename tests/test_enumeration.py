@@ -1,3 +1,4 @@
+import collections
 import itertools
 import time
 
@@ -20,7 +21,7 @@ from schur.verify import abelian_group_orders_up_to, c1_preserving_automorphisms
 from conftest import rings_over, stretch
 
 
-@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [9], [3, 3]])
+@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [9], [3, 3], []])
 def test_oracle_equivalence(orders):
     g = AbelianGroup(orders)
     fast = [r.canonical_key() for r in enumerate_srings(g)]
@@ -130,20 +131,21 @@ class _OracleSearch(_Search):
         got = super().candidates(pivot)
         if self._forced_candidate(pivot) is None:
             self.unforced += 1
-            assert got == sorted(got, key=lambda c: (len(c), sorted(c)))
-            assert set(got) == self._brute_candidates(pivot)
+            assert all(list(c) == sorted(c) for c in got)
+            assert got == sorted(got, key=lambda c: (len(c), c))
+            assert set(map(frozenset, got)) == self._brute_candidates(pivot)
             assert len(set(got)) == len(got)
         return got
 
     def _brute_candidates(self, pivot):
         g = self.group
         powers = [g.power_map(m) for m in g.multiplier_exponents()]
-        completed = {c for c, _ in self.completed}
+        completed = {frozenset(arr.tolist()) for arr in self.completed}
         unassigned = {y for y in range(self.n) if self.class_of[y] < 0}
         allowed = [
             y
             for y in sorted(unassigned)
-            if y > pivot and all(row[y] == row[pivot] for row in self.rows)
+            if y > pivot and all(row[y] == row[pivot] for rows in self.rows for row in rows)
         ]
         out = set()
         for size in range(len(allowed) + 1):
@@ -168,6 +170,32 @@ def test_candidates_match_subset_oracle(orders):
     search._extend()
     assert search.unforced > 0
     assert sorted(search.results) == [r.canonical_key() for r in enumerate_srings(g)]
+
+
+def test_leaf_certificate_matches_validate():
+    # every set partition of G \ {e}, classes in order of least element,
+    # through `_assign` and then `_leaf`: the leaf accepts exactly what
+    # `sring.validate` accepts
+    kinds = collections.Counter()
+    for orders in ([2, 4], [2, 2, 2], [3, 3]):
+        g = AbelianGroup(orders)
+        accepted = []
+        for part in enumeration._set_partitions(list(range(1, g.size))):
+            classes = [(0,)] + sorted(tuple(sorted(c)) for c in part)
+            s = _Search(g, None, _new_stats())
+            if not all(s._assign(c) for c in classes[1:]):
+                continue
+            s._leaf()
+            accepted += s.results
+            try:
+                sr.validate(g, classes)
+            except sr.SRingViolation as e:
+                kinds[e.kind] += 1
+                assert s.stats["leaf_rejects"] == 1, classes
+        assert sorted(accepted) == [r.canonical_key() for r in enumerate_srings_brute(g)]
+    # partitions that pass every `_assign` but not the leaf, by the first
+    # axiom `validate` finds broken
+    assert set(kinds) == {"module-closure", "inverse-closure"}
 
 
 # rings returned, pinned apart from `leaves`: the search reaches leaves only
