@@ -175,12 +175,21 @@ def cmd_enumerate(args):
     return EX_OK
 
 
-def _print_aut(ring, rep):
+def _schurity(ring):
+    """`is_schurian` on the ring with |Aut| and the stabilizer orbits
+    printed; None, with the budget message printed, when the search runs
+    out of budget."""
+    try:
+        rep = sch.is_schurian(ring)
+    except BudgetExceeded as e:
+        print("budget exceeded: %s" % e, file=sys.stderr)
+        return None
     print("|Aut| = %d" % rep.aut_order)
     print(
         "stabilizer orbits: %s"
         % json.dumps([[list(ring.group.elements[i]) for i in o] for o in rep.stabilizer_orbits])
     )
+    return rep
 
 
 def cmd_check(args):
@@ -188,12 +197,9 @@ def cmd_check(args):
     print("valid, rank %d" % ring.rank)
     if not args.schurity:
         return EX_OK
-    try:
-        rep = sch.is_schurian(ring)
-    except BudgetExceeded as e:
-        print("budget exceeded: %s" % e, file=sys.stderr)
+    rep = _schurity(ring)
+    if rep is None:
         return EX_BUDGET
-    _print_aut(ring, rep)
     if rep.schurian:
         print("schurian")
         return EX_OK
@@ -243,13 +249,9 @@ def cmd_wreath(args):
 
 
 def cmd_aut(args):
-    ring = _read_ring(args.ring)
-    try:
-        rep = sch.is_schurian(ring)
-    except BudgetExceeded as e:
-        print("budget exceeded: %s" % e, file=sys.stderr)
+    rep = _schurity(_read_ring(args.ring))
+    if rep is None:
         return EX_BUDGET
-    _print_aut(ring, rep)
     print("schurian" if rep.schurian else "non-schurian")
     return EX_OK
 

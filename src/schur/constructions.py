@@ -84,9 +84,9 @@ def is_generalized_wreath(ring, upper, lower):
     return True
 
 
-def gw_sections(ring, cap=grp.DEFAULT_ORDER_CAP):
+def gw_sections(ring):
     """All proper U/L-wreath decompositions (L != 1, U != G)."""
-    subs = ring.a_subgroups(cap)
+    subs = ring.a_subgroups()
     out = []
     for lower in subs:
         if lower.order == 1:

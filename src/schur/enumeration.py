@@ -77,13 +77,15 @@ class _Search:
         ).reshape(-1, self.n).T
         # For the multiplier rule (module docstring), per element y: its orbit
         # under the multiplier group M (sorted, so [0] names it), Stab_M(y),
-        # and per subgroup K of M the K-orbit y^K.  M = {1} when exp(G) = 1.
+        # and per subgroup K of M the K-orbit y^K.  M's subgroups are read off
+        # its table over the positions of `mults` (mults[0] = 1); residues are
+        # taken mod exp, so exp(G) = 1 gives the one-entry table.
         elems = range(self.n)
         self.orbit = [np.array(sorted({int(pm[y]) for pm in power.values()})) for y in elems]
         self.stab = [frozenset(m for m in mults if power[m][y] == y) for y in elems]
-        subgroups = [{1}]
-        if exp > 1:
-            subgroups = grp._abstract_subgroups(mults, lambda a, b: a * b % exp, 1)
+        index = {m % exp: i for i, m in enumerate(mults)}
+        table = [[index[a * b % exp] for b in mults] for a in mults]
+        subgroups = [frozenset(mults[i] for i in s) for s in grp.subgroup_sets(table)]
         self.blocks = [
             (sub, [tuple(sorted({int(power[m][y]) for m in sub})) for y in elems])
             for sub in subgroups

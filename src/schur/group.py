@@ -5,12 +5,19 @@ index of an element is its mixed-radix value, i.e. elements are numbered in
 lexicographic order of their residue tuples.  Every derived structure in
 this package (subgroups, partitions, permutations) works on canonical
 indices; tuples appear only at API boundaries and in JSON.
+
+A group that is not an `AbelianGroup` -- a subgroup, a quotient, the
+multiplier group of exponents -- is given only by its multiplication table
+over indices 0..k-1 with the identity at 0.  One kernel, `subgroup_sets`,
+lists the subgroups of such a table; `section(G, U, L)` builds the coset
+table of U/L and reads its canonical cyclic form off it, for `quotient`
+and for the restrictions and quotients of S-rings.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -126,7 +133,6 @@ class AbelianGroup:
 class Subgroup:
     group: AbelianGroup
     members: frozenset
-    generators: tuple = ()
 
     @property
     def order(self):
@@ -176,56 +182,15 @@ def closure(group, seeds):
 
 
 def subgroup(group, generator_indices):
-    gens = tuple(int(g) for g in generator_indices)
-    return Subgroup(group, closure(group, gens), gens)
+    return Subgroup(group, closure(group, generator_indices))
 
 
 def trivial_subgroup(group):
-    return Subgroup(group, frozenset([0]), ())
+    return Subgroup(group, frozenset([0]))
 
 
 def full_subgroup(group):
-    return Subgroup(group, frozenset(range(group.size)), tuple(group.canonical_generators()))
-
-
-def subgroups(group, cap=DEFAULT_ORDER_CAP):
-    """All subgroups, sorted by (order, member list).
-
-    Every subgroup of an abelian group is a join of cyclic ones, and the join
-    of two subgroups is their elementwise product set, so closing the cyclic
-    subgroups under pairwise joins is complete.
-    """
-    if group.size > cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (group.size, cap))
-    mul = group.mul_table
-    found = {}
-
-    def add(members, gens):
-        if members not in found:
-            found[members] = gens
-            return True
-        return False
-
-    add(frozenset([0]), ())
-    cyclic = []
-    for g in range(1, group.size):
-        m = closure(group, [g])
-        cyclic.append((m, (g,)))
-        add(m, (g,))
-    work = list(found.items())
-    while work:
-        members, gens = work.pop()
-        arr = np.fromiter(members, dtype=np.int64)
-        for cm, cg in cyclic:
-            if cm <= members:
-                continue
-            carr = np.fromiter(cm, dtype=np.int64)
-            joined = frozenset(int(v) for v in np.unique(mul[np.ix_(arr, carr)]))
-            if add(joined, tuple(gens) + cg):
-                work.append((joined, tuple(gens) + cg))
-    subs = [Subgroup(group, m, g) for m, g in found.items()]
-    subs.sort(key=lambda s: (s.order, s.sorted_members()))
-    return subs
+    return Subgroup(group, frozenset(range(group.size)))
 
 
 @dataclass(frozen=True)
@@ -391,123 +356,122 @@ def generating_subset(maps):
     return kept
 
 
-# -- quotients and abstract subgroup structure -----------------------------
+# -- sections on multiplication tables -------------------------------------
 
 
-def _abstract_order(mul, e, x):
-    n = 1
-    y = x
-    while y != e:
-        y = mul(y, x)
-        n += 1
-    return n
+def _power_rows(table):
+    """x^j for every element x (rows) and j = 0..exp (columns), over the
+    group with multiplication table `table`; column exp is all identity."""
+    x = np.arange(len(table))
+    cols = [np.zeros_like(x), x]
+    while cols[-1].any():
+        cols.append(table[cols[-1], x])
+    return np.stack(cols, axis=1)
 
 
-def _abstract_cyclic(mul, e, g):
-    out = [e]
-    y = mul(e, g)
-    while y != e:
-        out.append(y)
-        y = mul(y, g)
-    return out
+def subgroup_sets(table):
+    """Every subgroup of the abelian group with multiplication table `table`
+    (indices 0..k-1, identity 0), as sorted member tuples in (order,
+    members) order.
 
-
-def _abstract_subgroups(elems, mul, e):
-    """All subgroup member-sets of a small abstract abelian group."""
-    cyclic = {frozenset(_abstract_cyclic(mul, e, g)) for g in elems}
-    found = set(cyclic) | {frozenset([e])}
+    Every subgroup of an abelian group is a join of cyclic ones, and the join
+    of two subgroups is their elementwise product set, so closing the
+    distinct cyclic subgroups under joins with them is complete.
+    """
+    table = np.asarray(table, dtype=np.int64)
+    cyclic = [
+        (c, np.fromiter(c, dtype=np.int64, count=len(c)))
+        for c in {frozenset(row) for row in _power_rows(table).tolist()}
+    ]
+    found = {c for c, _ in cyclic}
     work = list(found)
     while work:
-        a = work.pop()
-        for c in cyclic:
-            if c <= a:
+        members = work.pop()
+        arr = np.fromiter(members, dtype=np.int64, count=len(members))
+        for c, carr in cyclic:
+            if c <= members:
                 continue
-            j = frozenset(mul(x, y) for x in a for y in c)
-            if j not in found:
-                found.add(j)
-                work.append(j)
-    return found
+            joined = frozenset(table[arr[:, None], carr].ravel().tolist())
+            if joined not in found:
+                found.add(joined)
+                work.append(joined)
+    return sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))
 
 
-def abelian_basis(elems, mul, e):
-    """A direct-sum basis [(g1, d1), ...] with d1 <= d2 <= ... for a small
-    abstract abelian group given by its multiplication function.
+def subgroups(group, cap=DEFAULT_ORDER_CAP):
+    """All subgroups, sorted by (order, member list)."""
+    if group.size > cap:
+        raise CapExceeded("group order %d exceeds cap %d" % (group.size, cap))
+    return [Subgroup(group, frozenset(s)) for s in subgroup_sets(group.mul_table)]
 
-    Splits off an element of maximal order (always a direct summand) and
-    recurses on a complement found among the subgroups.
+
+def _cyclic_form(table):
+    """(orders, elems) for the group with multiplication table `table`: it
+    is the product of cyclic groups of the ascending `orders`, and elems[i]
+    is the table index of the element with mixed-radix index i.
+
+    Splits off h, the least element of largest order (its cyclic subgroup is
+    a direct summand), and recurses on the first complement of <h> in
+    (order, members) order, re-indexed as its own table.
     """
-    if len(elems) == 1:
-        return []
-    h = max(elems, key=lambda x: (_abstract_order(mul, e, x),))
-    hord = _abstract_order(mul, e, h)
-    hgen = frozenset(_abstract_cyclic(mul, e, h))
-    if hord == len(elems):
-        return [(h, hord)]
-    for k in _abstract_subgroups(elems, mul, e):
-        if len(k) * hord == len(elems) and k & hgen == {e}:
-            return abelian_basis(sorted(k), mul, e) + [(h, hord)]
-    raise RuntimeError("no direct complement found; group is not abelian?")
+    k = len(table)
+    rows = _power_rows(table)
+    orders = (rows[:, 1:] == 0).argmax(axis=1) + 1
+    h = int(orders.argmax())
+    d = int(orders[h])
+    if d == k:
+        return ([d] if k > 1 else []), rows[h, :d]
+    cyc = set(rows[h].tolist())
+    comp = next(
+        s for s in subgroup_sets(table) if len(s) * d == k and cyc.isdisjoint(s[1:])
+    )
+    comp = np.array(comp, dtype=np.int64)
+    pos = np.zeros(k, dtype=np.int64)
+    pos[comp] = np.arange(len(comp))
+    inner, elems = _cyclic_form(pos[table[np.ix_(comp, comp)]])
+    return inner + [d], table[comp[elems][:, None], rows[h, :d][None, :]].ravel()
 
 
-def _coordinate_map(elems, mul, e, basis):
-    """Map each element to its coordinate tuple w.r.t. a direct-sum basis."""
-    coords = {e: (0,) * len(basis)}
-    for exps in itertools.product(*(range(d) for _, d in basis)):
-        x = e
-        for (g, _), a in zip(basis, exps):
-            for _ in range(a):
-                x = mul(x, g)
-        coords[x] = exps
-    if len(coords) != len(elems):
-        raise RuntimeError("basis does not span the group")
-    return coords
+def section(group, upper, lower):
+    """(Q, pi) for the section U/L: Q is U/L in canonical cyclic form, and
+    pi maps each member of U to its Q-index, a surjective homomorphism
+    U -> Q with kernel exactly L.
+
+    U and L are member-index sets of subgroups with L <= U.  The cosets are
+    named by their least members, and the coset table of U/L is indexed by
+    the sorted coset minima, so the identity coset is 0.  Q's factors are
+    read off that table by `_cyclic_form`.
+    """
+    upper, lower = frozenset(upper), frozenset(lower)
+    if not (_is_subgroup_set(group, upper) and _is_subgroup_set(group, lower)):
+        raise ValueError("member set is not a subgroup")
+    if not lower <= upper:
+        raise ValueError("section requires L <= U")
+    mul = group.mul_table
+    coset = mul[:, sorted(lower)].min(axis=1)
+    u = np.array(sorted(upper), dtype=np.int64)
+    reps = np.unique(coset[u])
+    pos = np.zeros(group.size, dtype=np.int64)
+    pos[reps] = np.arange(len(reps))
+    orders, elems = _cyclic_form(pos[coset[mul[np.ix_(reps, reps)]]])
+    q_of = np.empty(len(reps), dtype=np.int64)
+    q_of[elems] = np.arange(len(reps))
+    return AbelianGroup(orders), dict(zip(u.tolist(), q_of[pos[coset[u]]].tolist()))
 
 
-def quotient(group, sub, cap=DEFAULT_ORDER_CAP):
-    """(Q, pi) with Q = G/L in canonical cyclic form and pi the projection.
+def quotient(group, sub):
+    """(Q, pi) with Q = G/L in canonical cyclic form and pi the projection:
+    `section(G, G, L)` as a map on all of G.
 
     pi is surjective with kernel exactly L; abelian groups need no normality
     check.
     """
     if not isinstance(sub, Subgroup):
         raise TypeError("expected a Subgroup")
-    if not _is_subgroup_set(group, sub.members):
-        raise ValueError("member set is not a subgroup")
-    members = np.fromiter(sub.members, dtype=np.int64)
-    coset_of = group.mul_table[:, members].min(axis=1)
-    reps = sorted(set(int(c) for c in coset_of))
-
-    def cmul(a, b):
-        return int(coset_of[group.mul_table[a, b]])
-
-    basis = abelian_basis(reps, cmul, 0)
-    q = AbelianGroup([d for _, d in basis])
-    coords = _coordinate_map(reps, cmul, 0, basis)
-    table = tuple(q.index[coords[int(coset_of[i])]] for i in range(group.size))
-    return q, GroupMap(group, q, table)
+    q, pi = section(group, range(group.size), sub.members)
+    return q, GroupMap(group, q, tuple(pi[i] for i in range(group.size)))
 
 
 def _is_subgroup_set(group, members):
     arr = np.fromiter(members, dtype=np.int64)
-    if 0 not in members:
-        return False
-    prods = group.mul_table[np.ix_(arr, arr)]
-    return set(int(v) for v in np.unique(prods)) <= set(int(v) for v in arr)
-
-
-def subgroup_as_group(group, sub):
-    """(S, to_sub, from_sub): S is the canonical group isomorphic to the
-    subgroup, to_sub maps member indices to S-indices, from_sub the reverse."""
-    members = sorted(sub.members)
-
-    def smul(a, b):
-        return int(group.mul_table[a, b])
-
-    basis = abelian_basis(members, smul, 0)
-    s = AbelianGroup([d for _, d in basis])
-    coords = _coordinate_map(members, smul, 0, basis)
-    to_sub = {m: s.index[coords[m]] for m in members}
-    from_sub = [0] * s.size
-    for m, i in to_sub.items():
-        from_sub[i] = m
-    return s, to_sub, from_sub
+    return 0 in members and set(group.mul_table[np.ix_(arr, arr)].ravel().tolist()) <= members

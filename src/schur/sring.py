@@ -7,6 +7,10 @@ certifies a partition; the enumeration search certifies its leaves from
 its own product rows and builds its rings directly.  Everything downstream
 assumes a certified ring.
 
+Restrictions A_U and quotients A_{U/L} live on `group.section(G, U, L)`,
+which gives the section in canonical cyclic form and the map from U onto
+it; the images of the classes inside U are validated there.
+
 Cayley isomorphism is orbit membership: `orbit_keys` closes a set of ring
 keys under a group of automorphisms with the one partition-orbit kernel,
 `permaction.partition_orbits`, for the enumeration closure,
@@ -95,36 +99,22 @@ class SRing:
         ids = {int(self.class_of[i]) for i in xs}
         return sum(len(self.classes[c]) for c in ids) == len(xs)
 
-    def a_subgroups(self, cap=grp.DEFAULT_ORDER_CAP):
-        return [h for h in grp.subgroups(self.group, cap) if self.is_a_set(h.members)]
+    def a_subgroups(self):
+        return [h for h in grp.subgroups(self.group) if self.is_a_set(h.members)]
 
     # -- restriction and quotient ------------------------------------------
 
     def restrict(self, sub):
-        """The induced S-ring over an A-subgroup, in canonical coordinates."""
-        if not self.is_a_set(sub.members):
-            raise ValueError("restriction requires an A-subgroup")
-        s, to_sub, _ = grp.subgroup_as_group(self.group, sub)
-        classes = [
-            frozenset(to_sub[i] for i in c) for c in self.classes if c <= sub.members
-        ]
-        return validate(s, classes)
+        """The induced S-ring over an A-subgroup U: the section U/{e}."""
+        return self.quotient_ring(SectionRef(sub, grp.trivial_subgroup(self.group)))
 
     def quotient_ring(self, section):
         """The induced S-ring over U/L for an A-section U/L."""
         u, l = section.upper, section.lower
-        if not (l.members <= u.members):
-            raise ValueError("section requires L <= U")
         if not (self.is_a_set(u.members) and self.is_a_set(l.members)):
             raise ValueError("not an A-section: U and L must be A-subgroups")
-        s, to_sub, _ = grp.subgroup_as_group(self.group, u)
-        l_in_s = grp.Subgroup(s, frozenset(to_sub[i] for i in l.members))
-        q, pi = grp.quotient(s, l_in_s)
-        images = set()
-        for c in self.classes:
-            if c <= u.members:
-                images.add(frozenset(pi.table[to_sub[i]] for i in c))
-        return validate(q, images)
+        q, pi = grp.section(self.group, u.members, l.members)
+        return validate(q, {frozenset(pi[i] for i in c) for c in self.classes if c <= u.members})
 
     # -- rationality and power maps ------------------------------------------
 

@@ -10,8 +10,8 @@ from schur.group import (
     full_subgroup,
     generating_subset,
     quotient,
+    section,
     subgroup,
-    subgroup_as_group,
     subgroups,
 )
 from schur.verify import abelian_group_orders_up_to
@@ -194,15 +194,61 @@ def test_map_from_generator_images():
         map_from_generator_images(g, [(0, 1), (0, 1)])
 
 
-def test_subgroup_as_group_roundtrip():
-    g = AbelianGroup([3, 9])
-    e = subgroup(g, [g.index[(1, 0)], g.index[(0, 3)]])
-    s, to_sub, from_sub = subgroup_as_group(g, e)
-    assert s.orders == (3, 3)
-    for a in e.members:
-        for b in e.members:
-            assert to_sub[g.imul(a, b)] == s.imul(to_sub[a], to_sub[b])
-    assert sorted(from_sub) == sorted(e.members)
+def _type_from_order_counts(g, upper, lower, p):
+    """Invariant-factor orders of the p-group U/L, ascending, read off the
+    counts c_k = |{uL : u^(p^k) in L}| = prod_i p^min(k, e_i): the number of
+    factors of order at least p^k is log_p(c_k / c_(k-1))."""
+    counts = [1]
+    while counts[-1] * len(lower) < len(upper):
+        pm = g.power_map(p ** len(counts))
+        counts.append(sum(1 for u in upper if int(pm[u]) in lower) // len(lower))
+    at_least = []
+    for k in range(1, len(counts)):
+        ratio, r = counts[k] // counts[k - 1], 0
+        while ratio > 1:
+            ratio, r = ratio // p, r + 1
+        at_least.append(r)
+    at_least.append(0)
+    return tuple(
+        p ** k for k in range(1, len(at_least)) for _ in range(at_least[k - 1] - at_least[k])
+    )
+
+
+@pytest.mark.parametrize(
+    "orders,upper_gens,expect",
+    [
+        ([3, 9], None, None),
+        ([2, 8], None, None),
+        ([4, 4], None, None),
+        ([3, 3, 3], None, None),
+        ([9, 9], None, None),
+        # E = <s, c1> over the trivial subgroup: E itself as a group
+        ([3, 9], [(1, 0), (0, 3)], (3, 3)),
+    ],
+    ids=["3x9", "2x8", "4x4", "3x3x3", "9x9", "E-in-3x9"],
+)
+def test_section_matches_order_count_oracle(orders, upper_gens, expect):
+    # every pair L <= U of subgroups, or the one section U/1 when U is given
+    g = AbelianGroup(orders)
+    p = min(q for q in range(2, g.size + 1) if g.size % q == 0)
+    if upper_gens is None:
+        subs = subgroups(g)
+        pairs = [(u, low) for u in subs for low in subs if low <= u]
+    else:
+        pairs = [(subgroup(g, [g.index[t] for t in upper_gens]), subgroup(g, []))]
+    for upper, lower in pairs:
+        q, pi = section(g, upper.members, lower.members)
+        assert set(pi) == upper.members
+        assert q.size * lower.order == upper.order
+        assert set(pi.values()) == set(range(q.size))
+        assert {x for x, y in pi.items() if y == 0} == lower.members
+        u = np.array(upper.sorted_members())
+        t = np.zeros(g.size, dtype=np.int64)
+        t[u] = [pi[x] for x in u.tolist()]
+        assert np.array_equal(t[g.mul_table[np.ix_(u, u)]], q.mul_table[np.ix_(t[u], t[u])])
+        assert q.orders == _type_from_order_counts(g, upper.members, lower.members, p)
+        if expect is not None:
+            assert q.orders == expect
 
 
 def test_trivial_group():
