@@ -31,6 +31,7 @@ from . import schurity as sch
 from . import sring as sr
 from . import verify as ver
 from .enumeration import (
+    DEFAULT_ENUM_CAP,
     FILTERS,
     _new_stats,
     classify_up_to_cayley,
@@ -58,7 +59,12 @@ def _env(name, default, cast):
 
 # flag -> (environment variable suffix, default, type, help)
 BUDGETS = {
-    "--max-order": ("MAX_ORDER", 81, int, "largest group order to enumerate (default 81)"),
+    "--max-order": (
+        "MAX_ORDER",
+        DEFAULT_ENUM_CAP,
+        int,
+        "largest group order to enumerate (default %d)" % DEFAULT_ENUM_CAP,
+    ),
     "--time-limit": ("TIME_LIMIT", None, float, "wall-clock limit in seconds"),
     "--jobs": (
         "JOBS",

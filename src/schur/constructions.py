@@ -69,19 +69,21 @@ def wreath(a, b):
 
 
 def is_generalized_wreath(ring, upper, lower):
-    """True iff every basic set outside U is a union of L-cosets."""
+    """True iff every basic set X outside U is a union of L-cosets, i.e.
+    L <= rad(X)."""
     if not (ring.is_a_set(upper.members) and ring.is_a_set(lower.members)):
         raise ValueError("U and L must be A-subgroups")
     if not lower.members <= upper.members:
         raise ValueError("need L <= U")
-    larr = np.array(sorted(lower.members), dtype=np.int64)
-    mul = ring.group.mul_table
-    for c, arr in zip(ring.classes, ring.class_arrays):
-        if c <= upper.members:
-            continue
-        if frozenset(int(v) for v in mul[np.ix_(larr, arr)].ravel()) != c:
-            return False
-    return True
+    # U is an A-set, so a class lies outside U iff its least member does
+    g = ring.group
+    inside = sr.indicator(g, upper.members)
+    larr = np.array(lower.sorted_members(), dtype=np.int64)
+    return all(
+        sr.radical_row(g, row)[larr].all()
+        for row, arr in zip(ring.class_rows, ring.class_arrays)
+        if not inside[arr[0]]
+    )
 
 
 def gw_sections(ring):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 
-DEFAULT_CHAIN_BUDGET = 1_000_000
+CHAIN_BUDGET = 1_000_000  # transversal entries one chain may hold
 
 
 def as_perm(p, degree=None):
@@ -77,7 +77,7 @@ class _Chain:
         self.transversal_inv = [{self.base[0]: ident}]
 
 
-def _build_chain(generators, degree, first_base, budget):
+def _build_chain(generators, degree, first_base):
     ident = np.arange(degree, dtype=np.int64)
     ident_bytes = ident.tobytes()
     chain = _Chain(first_base, ident)
@@ -130,9 +130,9 @@ def _build_chain(generators, degree, first_base, budget):
                 y = int(s[x])
                 if y not in t:
                     entries += 1
-                    if entries > budget:
+                    if entries > CHAIN_BUDGET:
                         raise BudgetExceeded(
-                            "stabilizer chain exceeded %d transversal entries" % budget
+                            "stabilizer chain exceeded %d transversal entries" % CHAIN_BUDGET
                         )
                     rep = s[rx]
                     t[y] = rep
@@ -181,7 +181,7 @@ def _build_chain(generators, degree, first_base, budget):
 
 
 class PermGroup:
-    def __init__(self, generators, degree, chain_budget=DEFAULT_CHAIN_BUDGET):
+    def __init__(self, generators, degree):
         self.degree = int(degree)
         gens = []
         seen = set()
@@ -192,14 +192,13 @@ class PermGroup:
                 seen.add(key)
                 gens.append(a)
         self.generators = gens
-        self.chain_budget = chain_budget
         self._chain = None
         self._order = None
         self._stabilizers = {}
 
     def chain(self):
         if self._chain is None:
-            self._chain = _build_chain(self.generators, self.degree, 0, self.chain_budget)
+            self._chain = _build_chain(self.generators, self.degree, 0)
         return self._chain
 
     def order(self):
@@ -229,9 +228,9 @@ class PermGroup:
             elif point == 0:
                 chain = self.chain()
             else:
-                chain = _build_chain(self.generators, self.degree, point, self.chain_budget)
+                chain = _build_chain(self.generators, self.degree, point)
             gens = [p for p in chain.strong if int(p[point]) == point]
-            self._stabilizers[point] = PermGroup(gens, self.degree, self.chain_budget)
+            self._stabilizers[point] = PermGroup(gens, self.degree)
         return self._stabilizers[point]
 
     def orbits(self):

@@ -287,13 +287,16 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
         if s < 0:
             return 1
         depth = len(path)
-        fixed = [v for _, v, _, _ in path]
         cell = lab[s:_cell_end(start, s)].tolist()
         v = cell[0]
         labv, startv, fv = ind_ref(lab, start, s, v)
         path.append((s, v, labv, fv))
         below = build(labv, startv)
-        fixing = [p for p in gens if all(int(p[x]) == x for x in fixed)]
+        # The generators that fix the path so far.  `build` recurses only
+        # along the first path, so each generator beyond the translations
+        # was found at this depth or deeper and fixes the path prefix; a
+        # nontrivial translation fixes no point, so only the root keeps them.
+        fixing = gens[translations if depth else 0:]
         orb = pa.orbit_of(fixing, v)
         for w in cell[1:]:
             if w in orb:

@@ -11,6 +11,18 @@ Restrictions A_U and quotients A_{U/L} live on `group.section(G, U, L)`,
 which gives the section in canonical cyclic form and the map from U onto
 it; the images of the classes inside U are validated there.
 
+A subset X of G is a boolean indicator row over canonical indices, and
+a batch of k subsets is a (k, |G|) array.  The A-set predicates and the
+§2-§3 set operations rest on three kernels:
+
+- class constancy: rows are A-sets iff `rows == rows[..., rep_of]`, with
+  `rep_of[x]` the least member of x's class (`SRing.is_class_constant`);
+- coset counts: |X & (H + x)| at every x is `rows[..., mul_table[h]]`
+  summed over H (`coset_counts`);
+- radical: rad(X) is `row[mul_table[xs]].all(0)` (`radical_row`).
+
+Frozensets and `Subgroup`s appear only at the API boundary.
+
 Cayley isomorphism is orbit membership: `orbit_keys` closes a set of ring
 keys under a group of automorphisms with the one partition-orbit kernel,
 `permaction.partition_orbits`, for the enumeration closure,
@@ -22,6 +34,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -53,11 +66,9 @@ class SRing:
         self.group = group
         self.classes = tuple(classes)
         self.class_arrays = [np.array(sorted(c), dtype=np.int64) for c in self.classes]
-        class_of = np.full(group.size, -1, dtype=np.int64)
-        for ci, c in enumerate(self.classes):
-            for i in c:
-                class_of[i] = ci
-        self.class_of = class_of
+        self.class_of = np.full(group.size, -1, dtype=np.int64)
+        for ci, arr in enumerate(self.class_arrays):
+            self.class_of[arr] = ci
         self._products = {}
         self._inverse_class = None
 
@@ -91,16 +102,28 @@ class SRing:
 
     # -- A-sets and A-subgroups --------------------------------------------
 
-    def members_of(self, xs):
-        return frozenset(self.group.indices(xs))
+    @cached_property
+    def rep_of(self):
+        """rep_of[x] is the least member of x's class."""
+        return np.array([arr[0] for arr in self.class_arrays])[self.class_of]
+
+    @cached_property
+    def class_rows(self):
+        """One indicator row per class, shape (rank, |G|)."""
+        return np.arange(self.rank)[:, None] == self.class_of
+
+    def is_class_constant(self, rows):
+        """Whether each row (last axis over G) is constant on every class;
+        an indicator row passes iff its set is an A-set."""
+        return (rows == rows[..., self.rep_of]).all(-1)
 
     def is_a_set(self, xs):
-        xs = self.members_of(xs)
-        ids = {int(self.class_of[i]) for i in xs}
-        return sum(len(self.classes[c]) for c in ids) == len(xs)
+        return bool(self.is_class_constant(indicator(self.group, xs)))
 
     def a_subgroups(self):
-        return [h for h in grp.subgroups(self.group) if self.is_a_set(h.members)]
+        subs = grp.subgroups(self.group)
+        ok = self.is_class_constant(np.array([indicator(self.group, h.members) for h in subs]))
+        return [h for h, keep in zip(subs, ok) if keep]
 
     # -- restriction and quotient ------------------------------------------
 
@@ -122,35 +145,23 @@ class SRing:
         """The set X^(m) = {x^m}.  Only coprime m give conjugate classes."""
         if gcd(m, self.group.size) != 1:
             warnings.warn("power map with m not coprime to |G| is not a conjugation")
-        xs = self.members_of(xs)
-        pm = self.group.power_map(m)
-        return frozenset(int(pm[i]) for i in xs)
+        return frozenset(self.group.power_map(m)[self.group.indices(xs)].tolist())
 
     def is_rational_set(self, xs):
-        xs = self.members_of(xs)
-        for m in self.group.multiplier_exponents():
-            pm = self.group.power_map(m)
-            if frozenset(int(pm[i]) for i in xs) != xs:
-                return False
-        return True
+        # each multiplier power map is a permutation, so X^(m) = X iff X is
+        # constant along it
+        row = indicator(self.group, xs)
+        return bool((row[multiplier_maps(self.group)] == row).all())
 
     def is_rational(self):
-        return all(self.is_rational_set(c) for c in self.classes)
+        return bool((self.class_of[multiplier_maps(self.group)] == self.class_of).all())
 
     def power_set_p(self, xs, p):
         """X^[p] = {x^p : x in X, |X & Hx| != 0 mod p}, H the p-torsion."""
         if p < 2 or self.group.size % p != 0:
             raise ValueError("p must be a prime dividing the group order")
-        xs = self.members_of(xs)
-        torsion = [i for i in range(self.group.size) if int(self.group.order_table[i]) in (1, p)]
-        tarr = np.array(torsion, dtype=np.int64)
-        pm = self.group.power_map(p)
-        out = set()
-        for x in xs:
-            coset = set(int(v) for v in self.group.mul_table[tarr, x])
-            if len(coset & xs) % p != 0:
-                out.add(int(pm[x]))
-        return frozenset(out)
+        out = torsion_power_rows(self.group, indicator(self.group, xs), p)
+        return frozenset(np.flatnonzero(out).tolist())
 
     # -- classification predicates ------------------------------------------
 
@@ -164,24 +175,17 @@ class SRing:
 
     def orthogonals(self):
         """Non-identity classes X contained in Y*Y^{-1} for some class Y."""
-        out = []
-        for x in range(1, self.rank):
-            xarr = self.class_arrays[x]
-            for y in range(self.rank):
-                v = self.product_vector(y, self.inverse_class(y))
-                if np.all(v[xarr] > 0):
-                    out.append(x)
-                    break
-        return out
+        support = [self.product_vector(y, self.inverse_class(y)) > 0 for y in range(self.rank)]
+        # each support is an A-set, so it holds X iff it holds X's least member
+        hit = np.array(support)[:, [arr[0] for arr in self.class_arrays]].any(0)
+        return [x for x in range(1, self.rank) if hit[x]]
 
     def is_highest(self, xs):
         _require_3_family(self.group)
-        xs = self.members_of(xs)
-        return any(int(self.group.order_table[i]) == self.group.exponent for i in xs)
+        return bool((self.group.order_table[self.group.indices(xs)] == self.group.exponent).any())
 
     def is_regular_set(self, xs):
-        xs = self.members_of(xs)
-        return len({int(self.group.order_table[i]) for i in xs}) <= 1
+        return len(np.unique(self.group.order_table[self.group.indices(xs)])) <= 1
 
     def is_regular(self):
         """Every highest basic set consists of elements of one order."""
@@ -193,11 +197,11 @@ class SRing:
     def ring_radical(self):
         """Subgroup generated by the radicals of the highest basic sets."""
         _require_3_family(self.group)
-        gens = set()
-        for c in self.classes:
+        gens = np.zeros(self.group.size, dtype=bool)
+        for c, row in zip(self.classes, self.class_rows):
             if self.is_highest(c):
-                gens |= set(radical(self.group, c).members)
-        return grp.subgroup(self.group, sorted(gens))
+                gens |= radical_row(self.group, row)
+        return grp.subgroup(self.group, np.flatnonzero(gens).tolist())
 
     # -- serialization --------------------------------------------------------
 
@@ -276,13 +280,11 @@ def validate(group, partition):
             {"class": sorted(group.elements[i] for i in classes[0])},
         )
     ring = SRing(group, classes)
-    class_sets = set(classes)
-    inv = group.inv_table
-    for ci, c in enumerate(classes):
-        ic = frozenset(int(inv[i]) for i in c)
-        if ic not in class_sets:
+    for ci, arr in enumerate(ring.class_arrays):
+        image = ring.class_of[group.inv_table[arr]]  # X^-1 is a class iff it fills one
+        if (image != image[0]).any() or len(ring.class_arrays[image[0]]) != len(arr):
             raise SRingViolation("inverse-closure", {"class": ci})
-    rep_of = np.array([arr[0] for arr in ring.class_arrays])[ring.class_of]
+    rep_of = ring.rep_of
     for x, xarr in enumerate(ring.class_arrays):
         # row i is X*Y for y = x + i; each y < x was paired with x before
         later = np.flatnonzero(ring.class_of >= x)
@@ -319,21 +321,51 @@ def from_json(text):
     return from_json_dict(json.loads(text))
 
 
-# -- group-level set operations used throughout §2/§3 -------------------------
+# -- subsets of G as indicator rows --------------------------------------------
+
+
+def indicator(group, xs):
+    """The indicator row of a collection of elements, each an index or
+    residues; raises IndexError on an index outside 0..|G|-1."""
+    row = np.zeros(group.size, dtype=bool)
+    row[group.indices(xs)] = True
+    return row
+
+
+def coset_counts(group, rows, h):
+    """|X & (H + x)| at every x, for each indicator row X; h is an index
+    array of the subgroup H."""
+    return rows[..., group.mul_table[h]].sum(-2)
+
+
+def radical_row(group, row):
+    """The indicator row of rad(X) = {g : X + g = X}, the g with X + g
+    inside X."""
+    return row[group.mul_table[np.flatnonzero(row)]].all(0)
+
+
+def torsion_power_rows(group, rows, p):
+    """Indicator rows of X^[p] for each indicator row X (see
+    `SRing.power_set_p`)."""
+    torsion = np.flatnonzero(p % group.order_table == 0)
+    keep = rows & (coset_counts(group, rows, torsion) % p != 0)
+    *lead, x = np.nonzero(keep)
+    out = np.zeros_like(rows)
+    out[(*lead, group.power_map(p)[x])] = True
+    return out
+
+
+def multiplier_maps(group):
+    """The power maps x -> x^m for every m coprime to |G|, one row each."""
+    return np.array([group.power_map(m) for m in group.multiplier_exponents()])
 
 
 def radical(group, xs):
     """rad(X) = {g : Xg = X}; the translation stabilizer of X."""
-    xs = frozenset(group.indices(xs))
-    if not xs:
+    row = indicator(group, xs)
+    if not row.any():
         raise ValueError("radical of the empty set is undefined")
-    arr = np.array(sorted(xs), dtype=np.int64)
-    members = [
-        g
-        for g in range(group.size)
-        if frozenset(int(v) for v in group.mul_table[arr, g]) == xs
-    ]
-    return grp.Subgroup(group, frozenset(members))
+    return grp.Subgroup(group, frozenset(np.flatnonzero(radical_row(group, row)).tolist()))
 
 
 def generated(group, xs):

@@ -8,11 +8,15 @@ Cayley isomorphism is orbit membership under the one partition-orbit
 kernel, `permaction.partition_orbits`: `catalog_keys` closes the catalog
 once, `e-c1-classes` compares least orbit keys with class representatives,
 and `cyclotomic_partition_orbits` closes its relabeling orbits with it.
+
+The per-ring property checks work on indicator rows (see `sring`): a batch
+of sets is a (k, |G|) boolean array, tested at once with the ring's class
+constancy test, the coset counts and the radical row; the A-set lattice of
+`check_torsion_power_sets` is one batch of class masks per prime.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -96,42 +100,6 @@ def cyclotomic_partition_orbits(group):
 labels_to_classes = blocks
 
 
-def abelian_group_orders_up_to(max_order):
-    """Canonical orders lists of every abelian group of order 2..max_order."""
-
-    def exponent_partitions(k):
-        if k == 0:
-            yield ()
-            return
-        for first in range(1, k + 1):
-            for rest in exponent_partitions(k - first):
-                if not rest or first <= rest[0]:
-                    yield (first,) + rest
-
-    out = []
-    for n in range(2, max_order + 1):
-        fac = sorted(_factorize(n).items())
-        combos = [list(exponent_partitions(k)) for _, k in fac]
-        for combo in itertools.product(*combos):
-            factors = []
-            for (p, _), parts in zip(fac, combo):
-                factors.extend(p ** a for a in parts)
-            out.append(sorted(factors))
-    return out
-
-
-def _factorize(m):
-    """{prime: multiplicity} for m >= 1."""
-    out = {}
-    p = 2
-    while m > 1:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1
-    return out
-
-
 # -- the nine S-rings over E with C1 as an A-subgroup --------------------------
 #
 # Partitions over [3, 3] in word form with s = (1,0) and c1 = (0,1); the
@@ -191,17 +159,15 @@ def tensor_decomposes_with_rank2_factor(ring):
                 continue
             if h.members & l.members != {0}:
                 continue
-            if ring.restrict(h).rank != 2:
+            harr, larr = np.array(h.sorted_members()), np.array(l.sorted_members())
+            if len(np.unique(ring.class_of[harr])) != 2:  # the rank of A_H
                 continue
-            hcls = [c for c in ring.classes if c <= h.members]
-            lcls = [c for c in ring.classes if c <= l.members]
-            prod = set()
-            for x in hcls:
-                for y in lcls:
-                    prod.add(
-                        frozenset(int(g.mul_table[a, b]) for a in x for b in y)
-                    )
-            if prod == set(ring.classes):
+            # G = H x L; label a + b by the classes of a and b.  The products
+            # XY are the classes iff the labels are class constant and as many.
+            label = np.empty(g.size, dtype=np.int64)
+            pairs = ring.class_of[harr][:, None] * ring.rank + ring.class_of[larr]
+            label[g.mul_table[np.ix_(harr, larr)]] = pairs
+            if ring.is_class_constant(label) and len(np.unique(label)) == ring.rank:
                 return True
     return False
 
@@ -460,89 +426,79 @@ def check_structure_constant_identity(ring):
 
 def check_product_sets(ring):
     """XY is an A-set; XY is a single class when |X| = 1 or |Y| = 1."""
-    for x in range(ring.rank):
-        for y in range(ring.rank):
-            v = ring.product_vector(x, y)
-            support = frozenset(int(i) for i in np.nonzero(v)[0])
-            assert ring.is_a_set(support), (x, y)
-            if len(ring.classes[x]) == 1 or len(ring.classes[y]) == 1:
-                assert support in set(ring.classes), (x, y)
+    r = ring.rank
+    support = np.array([[ring.product_vector(x, y) for y in range(r)] for x in range(r)]) > 0
+    thin = np.array([len(c) == 1 for c in ring.classes])
+    # an A-set is a single class iff it holds a single class minimum
+    minima = ring.rep_of == np.arange(ring.group.size)
+    single = (support & minima).sum(-1) == 1
+    bad = ~ring.is_class_constant(support) | ((thin[:, None] | thin) & ~single)
+    assert not bad.any(), tuple(np.argwhere(bad)[0].tolist())
 
 
 def check_coset_intersections(ring):
     """|X & Hg| is constant over the cosets meeting a class X."""
     g = ring.group
+    own = (ring.class_of, np.arange(g.size))
     for h in ring.a_subgroups():
-        arr = np.array(sorted(h.members), dtype=np.int64)
-        for c in ring.classes:
-            sizes = set()
-            seen_cosets = set()
-            for x in c:
-                coset = frozenset(int(v) for v in g.mul_table[arr, x])
-                if coset in seen_cosets:
-                    continue
-                seen_cosets.add(coset)
-                sizes.add(len(coset & c))
-            assert len(sizes) <= 1, (h, c)
+        # |C & (H + x)| for C the class of x, constant on C iff the check holds
+        meet = sr.coset_counts(g, ring.class_rows, np.array(h.sorted_members()))[own]
+        assert ring.is_class_constant(meet), h
 
 
 def check_generated_and_radical(ring):
     """<X> and rad(X) are A-subgroups for every class (hence every A-set)."""
     g = ring.group
-    for c in ring.classes:
-        assert ring.is_a_set(sr.generated(g, c).members), c
-        assert ring.is_a_set(sr.radical(g, c).members), c
+    gen = np.array([sr.indicator(g, sr.generated(g, c).members) for c in ring.classes])
+    rad = np.array([sr.radical_row(g, row) for row in ring.class_rows])
+    ok = ring.is_class_constant(gen) & ring.is_class_constant(rad)
+    assert ok.all(), sorted(ring.classes[int(np.argmin(ok))])
 
 
 def check_power_maps(ring):
     """X^(m) is a class for every class X and every m coprime to |G|."""
-    g = ring.group
-    classes = set(ring.classes)
-    for m in g.multiplier_exponents():
-        pm = g.power_map(m)
-        for c in ring.classes:
-            assert frozenset(int(pm[i]) for i in c) in classes, (m, c)
+    # x -> x^m permutes G, so it maps every class onto a class iff the
+    # class of x^m is constant on each class
+    ok = ring.is_class_constant(ring.class_of[sr.multiplier_maps(ring.group)])
+    assert ok.all(), ring.group.multiplier_exponents()[int(np.argmin(ok))]
 
 
 def check_torsion_power_sets(ring):
     """X^[p] is an A-set for A-sets X, p prime dividing |G|.
 
     Exhaustive over single classes and unions of two classes always, and
-    over the full A-set lattice when the rank allows.
+    over the full A-set lattice when the rank allows; the unions are class
+    masks read through `class_of`, one batch per prime.
     """
-    g = ring.group
-    for p in sorted(_factorize(g.size)):
-        sets = []
-        for i in range(ring.rank):
-            sets.append(ring.classes[i])
-            for j in range(i + 1, ring.rank):
-                sets.append(ring.classes[i] | ring.classes[j])
-        if ring.rank <= _MAX_POWERSET_RANK:
-            for k in range(3, ring.rank + 1):
-                for combo in itertools.combinations(range(ring.rank), k):
-                    u = frozenset().union(*(ring.classes[i] for i in combo))
-                    sets.append(u)
-        for xs in sets:
-            assert ring.is_a_set(ring.power_set_p(xs, p)), (p, sorted(xs))
+    g, r = ring.group, ring.rank
+    if r <= _MAX_POWERSET_RANK:
+        masks = (np.arange(1, 1 << r)[:, None] >> np.arange(r)) & 1 == 1
+    else:
+        i, j = np.triu_indices(r)  # i == j gives the single classes
+        masks = (np.arange(r) == i[:, None]) | (np.arange(r) == j[:, None])
+    rows = masks[:, ring.class_of]
+    # by Cauchy's theorem the primes dividing |G| are the prime element orders
+    for p in sorted({int(o) for o in g.order_table if o > 1 and all(o % d for d in range(2, o))}):
+        ok = ring.is_class_constant(sr.torsion_power_rows(g, rows, p))
+        assert ok.all(), (p, np.flatnonzero(rows[np.argmin(ok)]).tolist())
 
 
 def check_separating_subgroups(ring):
     """If H <= rad(X \\ H), X meets both H and its complement, then
     X = <X> \\ rad(X) and rad(X) <= H & <X>."""
     g = ring.group
-    subs = grp.subgroups(g)
-    for c in ring.classes:
-        for h in subs:
-            inside = c & h.members
-            outside = c - h.members
-            if not inside or not outside:
-                continue
-            if not h.members <= sr.radical(g, outside).members:
-                continue
-            gen = sr.generated(g, c).members
-            rad = sr.radical(g, c).members
-            assert c == gen - rad, (sorted(c), h)
-            assert rad <= (h.members & gen), (sorted(c), h)
+    rows = ring.class_rows
+    for h in grp.subgroups(g):
+        inside = sr.indicator(g, h.members)
+        outside = rows & ~inside
+        # H <= rad(Y) iff every H-coset that meets Y lies in Y
+        counts = sr.coset_counts(g, outside, np.array(h.sorted_members()))
+        split = (rows & inside).any(-1) & outside.any(-1) & ((counts == h.order) | ~outside).all(-1)
+        for ci in np.flatnonzero(split):
+            gen = sr.indicator(g, sr.generated(g, ring.classes[ci]).members)
+            rad = sr.radical_row(g, rows[ci])
+            assert (rows[ci] == gen & ~rad).all(), (sorted(ring.classes[ci]), h)
+            assert not (rad & ~(inside & gen)).any(), (sorted(ring.classes[ci]), h)
 
 
 def check_order_layer_cosets(ring):

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import os
 
 import pytest
@@ -61,3 +63,91 @@ def scan_isomorphism(a, b, maps):
         if all(frozenset(f.table[i] for i in c) in target for c in a.classes):
             return f
     return None
+
+
+def abelian_group_orders_up_to(max_order):
+    """Canonical orders lists of every abelian group of order 2..max_order."""
+
+    def exponent_partitions(k):
+        if k == 0:
+            yield ()
+            return
+        for first in range(1, k + 1):
+            for rest in exponent_partitions(k - first):
+                if not rest or first <= rest[0]:
+                    yield (first,) + rest
+
+    out = []
+    for n in range(2, max_order + 1):
+        fac = sorted(_factorize(n).items())
+        combos = [list(exponent_partitions(k)) for _, k in fac]
+        for combo in itertools.product(*combos):
+            factors = []
+            for (p, _), parts in zip(fac, combo):
+                factors.extend(p ** a for a in parts)
+            out.append(sorted(factors))
+    return out
+
+
+def _factorize(m):
+    """{prime: multiplicity} for m >= 1."""
+    out = {}
+    p = 2
+    while m > 1:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1
+    return out
+
+
+# -- frozenset oracles for the ring layer's indicator-row kernels -------------
+#
+# The frozenset definitions that the kernels replaced, element by element
+# over Python sets of indices; they share no code with `sring`'s kernels
+# (class constancy, coset counts, radical rows).
+
+
+@functools.lru_cache(maxsize=None)
+def _sums(group):
+    """x + y for every x (rows) and y (columns), as Python lists."""
+    return group.mul_table.tolist()
+
+
+def oracle_is_a_set(ring, xs):
+    xs = frozenset(xs)
+    class_of = ring.class_of.tolist()
+    return sum(len(ring.classes[c]) for c in {class_of[i] for i in xs}) == len(xs)
+
+
+def oracle_radical(group, xs):
+    """rad(X) = {g : X + g = X}; each g in it is x - x0 for some x in X."""
+    xs = frozenset(xs)
+    mul, x0 = _sums(group), group.iinv(min(xs))
+    return frozenset(g for g in (mul[x][x0] for x in xs) if all(mul[x][g] in xs for x in xs))
+
+
+def oracle_power_set_p(ring, xs, p):
+    """X^[p] = {x^p : x in X, |X & Hx| != 0 mod p}, H the p-torsion."""
+    xs = frozenset(xs)
+    cosets, pm = _torsion_cosets_and_powers(ring.group, p)
+    return frozenset(pm[x] for x in xs if len(cosets[x] & xs) % p != 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _torsion_cosets_and_powers(group, p):
+    """The coset H + x of the p-torsion H and x^p, for every x."""
+    mul, orders = _sums(group), group.order_table.tolist()
+    torsion = [i for i in range(group.size) if orders[i] in (1, p)]
+    cosets = [frozenset(mul[t][x] for t in torsion) for x in range(group.size)]
+    return cosets, [group.index[group.pow(t, p)] for t in group.elements]
+
+
+def oracle_is_generalized_wreath(ring, upper, lower):
+    """Every class outside U is a union of L-cosets."""
+    mul = _sums(ring.group)
+    return all(
+        frozenset(mul[l][x] for l in lower.members for x in c) == c
+        for c in ring.classes
+        if not c <= upper.members
+    )

@@ -23,7 +23,6 @@ from schur.enumeration import (
 from schur.group import full_subgroup
 from schur.schurity import scheme_automorphisms
 from schur.verify import (
-    abelian_group_orders_up_to,
     c1_preserving_automorphisms,
     check_coset_intersections,
     check_cyclic_class_shapes,
@@ -41,7 +40,13 @@ from schur.verify import (
     wreath_section_trichotomy,
 )
 
-from conftest import all_small_ring_sets, rings_over, scan_isomorphism, stretch
+from conftest import (
+    abelian_group_orders_up_to,
+    all_small_ring_sets,
+    rings_over,
+    scan_isomorphism,
+    stretch,
+)
 
 
 def _report(name, detail, start):

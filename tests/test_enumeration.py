@@ -16,9 +16,9 @@ from schur.enumeration import (
     enumerate_srings_brute,
     filter_rings,
 )
-from schur.verify import abelian_group_orders_up_to, c1_preserving_automorphisms
+from schur.verify import c1_preserving_automorphisms
 
-from conftest import rings_over, stretch
+from conftest import abelian_group_orders_up_to, rings_over, stretch
 
 
 @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [9], [3, 3], []])

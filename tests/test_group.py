@@ -14,7 +14,7 @@ from schur.group import (
     subgroup,
     subgroups,
 )
-from schur.verify import abelian_group_orders_up_to
+from conftest import abelian_group_orders_up_to
 
 
 def test_mul_inv_pow_examples():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from schur import AbelianGroup, BudgetExceeded, PermGroup, right_translations, symmetric_group, two_equivalent
+from schur import permaction
 from schur.permaction import compose, inverse, orbit_labels, orbit_of
 
 
@@ -162,9 +163,10 @@ def test_brute_force_regular_orbit_crosscheck():
         assert group.has_faithful_regular_orbit() == expect
 
 
-def test_chain_budget():
+def test_chain_budget(monkeypatch):
+    monkeypatch.setattr(permaction, "CHAIN_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        PermGroup(symmetric_group(12).generators, 12, chain_budget=10).order()
+        PermGroup(symmetric_group(12).generators, 12).order()
 
 
 def test_orbit_of_helper():

@@ -2,13 +2,25 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from schur import AbelianGroup, SRingViolation, canonical_c1, validate
 from schur import generated, radical
 from schur.group import subgroup
+from schur import sring as sr
+from schur import verify
+from schur.constructions import is_generalized_wreath
 from schur.groupring import multiply, sum_of_set
-from schur.sring import SectionRef, from_json
+from schur.sring import SectionRef, SRing, from_json
+
+from conftest import (
+    oracle_is_a_set,
+    oracle_is_generalized_wreath,
+    oracle_power_set_p,
+    oracle_radical,
+    rings_over,
+)
 
 
 def test_validate_accepts_inversion_ring():
@@ -265,3 +277,77 @@ def test_json_roundtrip_byte_identical(rings_z3z3):
     doc = json.loads(rings_z3z3[5].to_json())
     assert doc["group"] == [3, 3]
     assert doc["classes"][0] == [[0, 0]]
+
+
+# -- indicator-row kernels against the frozenset oracles ----------------------
+
+
+@pytest.mark.parametrize("orders", [(3, 9), (2, 2, 4)], ids=["3x9", "2x2x4"])
+def test_set_kernels_match_frozenset_oracles(orders):
+    """On every class union X of every ring of rank at most 12: class
+    constancy (on X with its least member toggled, and on X^[p]), the
+    radical row and the X^[p] rows, against the frozenset oracles; on every
+    ring, is_generalized_wreath for every pair L <= U of A-subgroups and
+    the public is_a_set, radical and power_set_p on every class."""
+    p = min(orders)
+    unions = 0
+    for ring in rings_over(*orders):
+        g = ring.group
+        subs = ring.a_subgroups()
+        for low in subs:
+            for up in subs:
+                if low <= up:
+                    assert is_generalized_wreath(ring, up, low) == (
+                        oracle_is_generalized_wreath(ring, up, low)
+                    )
+        for c in ring.classes:
+            assert ring.is_a_set(c) and radical(g, c).members == oracle_radical(g, c)
+            assert ring.power_set_p(c, p) == oracle_power_set_p(ring, c, p)
+        if ring.rank > 12:
+            continue
+        r = ring.rank
+        rows = ((np.arange(1, 1 << r)[:, None] >> np.arange(r)) & 1 == 1)[:, ring.class_of]
+        toggled = rows.copy()
+        toggled[np.arange(len(rows)), rows.argmax(1)] = False
+        powers = sr.torsion_power_rows(g, rows, p)
+        radicals = np.array([sr.radical_row(g, row) for row in rows])
+        a_sets = ring.is_class_constant(np.stack([toggled, powers]))
+        for xs, power, rad, a_set in zip(
+            _as_sets(rows), _as_sets(powers), _as_sets(radicals), a_sets.T.tolist()
+        ):
+            assert power == oracle_power_set_p(ring, xs, p) and rad == oracle_radical(g, xs)
+            assert a_set == [oracle_is_a_set(ring, xs - {min(xs)}), oracle_is_a_set(ring, power)]
+        unions += len(rows)
+    assert unions > 100_000
+
+
+def _as_sets(rows):
+    return [frozenset(i for i, inside in enumerate(row) if inside) for row in rows.tolist()]
+
+
+def _raw_ring(orders, classes):
+    """An SRing over a partition that `validate` never saw."""
+    return SRing(AbelianGroup(orders), [frozenset(c) for c in sorted(classes, key=min)])
+
+
+# (check, group orders, a partition that breaks the checked property)
+_BROKEN = [
+    # {1}{1} = {2}, which is half of the class {2, 3}
+    ("product_sets", (4,), [[0], [1], [2, 3]]),
+    # H = {0, 4}; X = {1, 2, 5} meets H+1 twice and H+2 once
+    ("coset_intersections", (8,), [[0], [4], [1, 2, 5], [3], [6], [7]]),
+    # <{2}> = {0, 2, 4, 6} splits the class of 4 and 6
+    ("generated_and_radical", (8,), [[0], [2], [1, 3, 4, 5, 6, 7]]),
+    # x -> x^2 sends {2, 3} to {4, 1}, which is no class
+    ("power_maps", (5,), [[0], [1], [2, 3], [4]]),
+    # {1}^[3] = {3}, which is part of a larger class
+    ("torsion_power_sets", (9,), [[0], [1], [2, 3, 4, 5, 6, 7, 8]]),
+    # H = {0, 2, 4, 6} <= rad({1, 3, 5, 7}), but X != <X> \ rad(X)
+    ("separating_subgroups", (8,), [[0], [1, 2, 3, 5, 7], [4], [6]]),
+]
+
+
+@pytest.mark.parametrize("check, orders, classes", _BROKEN, ids=[b[0] for b in _BROKEN])
+def test_property_checks_reject_a_partition_that_breaks_them(check, orders, classes):
+    with pytest.raises(AssertionError):
+        getattr(verify, "check_" + check)(_raw_ring(orders, classes))

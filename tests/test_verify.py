@@ -2,13 +2,12 @@ import pytest
 
 from schur import AbelianGroup, automorphisms, table1
 from schur.verify import (
-    abelian_group_orders_up_to,
     catalog_keys,
     cyclotomic_partition_orbits,
     run_claims,
 )
 
-from conftest import scan_isomorphism
+from conftest import abelian_group_orders_up_to, scan_isomorphism
 
 
 def test_claims_due_after_the_time_limit_do_not_run():
