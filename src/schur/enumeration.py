@@ -93,6 +93,9 @@ class _Search:
         self.class_of = np.full(self.n, -1, dtype=np.int64)
         self.class_of[0] = 0
         self.rep = np.zeros(self.n, dtype=np.int64)  # each assigned element's class minimum
+        # a stack of the assigned elements, class by class: stack[:top]
+        self.stack = np.zeros(self.n, dtype=np.int64)
+        self.top = 1
         self.completed = [np.array([0], dtype=np.int64)]  # class arrays, by least element
         # per completed non-identity class X, the product vectors X*C for the
         # non-identity classes C completed up to X, X itself included
@@ -209,18 +212,23 @@ class _Search:
         k = len(self.completed)
         self.class_of[arr] = k
         self.rep[arr] = arr[0]
-        assigned = np.flatnonzero(self.class_of >= 0)
+        top = self.top + len(arr)
+        self.stack[self.top:top] = arr
+        assigned = self.stack[:top]
         rows = class_products(self.group, arr, assigned, self.class_of[assigned], k + 1)[1:]
         if not (rows[:, assigned] == rows[:, self.rep[assigned]]).all():
             self.class_of[arr] = -1
             self.stats["prune_module"] += 1
             return False
+        self.top = top
         self.rows.append(rows)
         self.completed.append(arr)
         return True
 
     def _unassign(self):
-        self.class_of[self.completed.pop()] = -1
+        arr = self.completed.pop()
+        self.class_of[arr] = -1
+        self.top -= len(arr)
         self.rows.pop()
 
 

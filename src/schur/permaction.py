@@ -24,8 +24,9 @@ partition-orbit kernel is `partition_orbits(rows, tables)`, a breadth-first
 closure of a set of partitions with one image function, `_relabel`; its
 callers are `sring.orbit_keys` (the enumeration closure,
 `classify_up_to_cayley` and catalog matching in `verify`) and
-`verify.cyclotomic_partition_orbits`.  `orbit_of` is the breadth-first
-search for the orbit of one point.
+`verify.cyclotomic_partition_orbits`.  `orbit_of` is the search for the
+orbit of one point, and `extend_orbit` grows an orbit when a generator is
+added.
 """
 
 from __future__ import annotations
@@ -297,16 +298,23 @@ def two_equivalent(p1, p2):
 
 
 def orbit_of(gens, point):
-    seen = {int(point)}
-    queue = [int(point)]
+    return extend_orbit(set(), gens, [int(point)])
+
+
+def extend_orbit(orb, gens, points):
+    """Close the set `orb` under `gens` in place, and return it, given that
+    every image under `gens` of a point of `orb` lies in `orb` or among
+    `points`.  Only the points new to `orb` are mapped."""
+    queue = [x for x in points if x not in orb]
+    orb.update(queue)
     while queue:
         x = queue.pop()
         for g in gens:
             y = int(g[x])
-            if y not in seen:
-                seen.add(y)
+            if y not in orb:
+                orb.add(y)
                 queue.append(y)
-    return seen
+    return orb
 
 
 def orbit_labels(tables, n):

@@ -23,7 +23,17 @@ individualized vertex, however many splitters it takes.
 The first path (always the first vertex of the branch cell) is refined
 once: `build` records each of its steps, and `find_one`, which looks for an
 automorphism mapping the first path onto a candidate path, reads its side
-from that record and refines only the candidate side.
+from that record and refines only the candidate side.  At every candidate
+node, before descending, `find_one` tests the positional map that sends the
+first path's partition at the same depth onto the candidate's, position by
+position, against the colour matrix (as nauty and Traces test a cheap
+candidate map; McKay and Piperno 2014).  The two partitions descend from
+one first-path node by individualizing at the same cell starts, and
+refinement keeps each singleton in its position, so the map fixes the
+vertices individualized above that node and sends the first-path vertex
+below it to the candidate vertex: a map that passes is all that the orbit
+argument below needs.  At the leaf depth this is the leaf test; above it,
+it saves one refinement per remaining level whenever it passes.
 
 The search also yields |Aut| and the stabilizer of e, so no Schreier-Sims
 chain is needed for them.  The generators found below a node of the first
@@ -223,7 +233,9 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
 
     `node_budget` counts refinements: each individualized vertex, on the
     first path or a candidate path, is one node, and the first path is
-    refined only once.  Counters are added into `stats` in place, if given:
+    refined only once.  Candidate paths stop where the positional map
+    already is an automorphism (see the module docstring), so the same
+    budget reaches further into the search than a leaf-only test would.  Counters are added into `stats` in place, if given:
     `nodes` (refinements), `generators` (of the returned group, translations
     included) and `depth` (the length of the first path).  When the budget
     runs out, the counters so far are added all the same, and then
@@ -254,7 +266,8 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
         nodes += 1
         return _refine(m, rank, *_individualize(lab, start, s, v), [s])
 
-    def leaf_perm(lab1, lab2):
+    def positional_aut(lab1, lab2):
+        """The map lab1[i] -> lab2[i] if it preserves colours, else None."""
         f = np.empty(n, dtype=np.int64)
         f[lab1] = lab2
         if np.array_equal(m[np.ix_(f, f)], m):
@@ -265,10 +278,13 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
         """An automorphism mapping the first path from `depth` on onto a path
         below the candidate partition (lab2, start2), or None.
 
-        The first-path side is read from `path`, so only the candidate side
-        is refined."""
-        if depth == len(path):
-            return leaf_perm(path[-1][2], lab2)
+        The positional map from the first path's partition at this depth
+        onto (lab2, start2) is tried first, and is the whole test at the
+        leaf depth.  The first-path side is read from `path`, so only the
+        candidate side is refined."""
+        f = positional_aut(path[depth - 1][2], lab2)
+        if f is not None or depth == len(path):
+            return f
         s, _, _, f1 = path[depth]
         for w in lab2[s:_cell_end(start2, s)].tolist():
             lab3, start3, f2 = ind_ref(lab2, start2, s, w)
@@ -308,7 +324,9 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
             if r is not None:
                 gens.append(r)
                 fixing.append(r)
-                orb = pa.orbit_of(fixing, v)
+                # orb is closed under the old generators: only r's images
+                # of it, and what they reach, can be new
+                pa.extend_orbit(orb, fixing, r[list(orb)].tolist())
         return len(orb) * below
 
     # The translations make the scheme vertex-transitive, so the unit

@@ -408,20 +408,20 @@ _MAX_POWERSET_RANK = 12  # check_torsion_power_sets covers all A-sets up to this
 
 
 def check_structure_constant_identity(ring):
-    """|Z| c^{Z^-1}_{X,Y} = |X| c^{X^-1}_{Y,Z} = |Y| c^{Y^-1}_{Z,X}."""
-    for x in range(ring.rank):
-        for y in range(ring.rank):
-            for z in range(ring.rank):
-                lhs = len(ring.classes[z]) * ring.structure_constant(
-                    x, y, ring.inverse_class(z)
-                )
-                mid = len(ring.classes[x]) * ring.structure_constant(
-                    y, z, ring.inverse_class(x)
-                )
-                rhs = len(ring.classes[y]) * ring.structure_constant(
-                    z, x, ring.inverse_class(y)
-                )
-                assert lhs == mid == rhs, (x, y, z)
+    """|Z| c^{Z^-1}_{X,Y} = |X| c^{X^-1}_{Y,Z} = |Y| c^{Y^-1}_{Z,X}.
+
+    One (rank, rank, rank) array c[x, y, w] = c^{W}_{X,Y}, the product
+    vectors read at the class minima, gives all three sides for every
+    (x, y, z) at once; the first violation in (x, y, z) order is named."""
+    r = ring.rank
+    minima = [int(arr[0]) for arr in ring.class_arrays]
+    inverse = [ring.inverse_class(z) for z in range(r)]
+    c = np.array([[ring.product_vector(x, y)[minima] for y in range(r)] for x in range(r)])
+    # d[x, y, z] = c^{Z^-1}_{X,Y}, scaled by |Z|
+    d = c[:, :, inverse] * np.array([len(cl) for cl in ring.classes])
+    lhs, mid, rhs = d, d.transpose(2, 0, 1), d.transpose(1, 2, 0)
+    bad = (lhs != mid) | (mid != rhs)
+    assert not bad.any(), tuple(np.argwhere(bad)[0].tolist())
 
 
 def check_product_sets(ring):

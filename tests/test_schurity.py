@@ -147,9 +147,9 @@ def test_search_order_and_stabilizer_match_schreier_sims(rings_z3z9):
 # (index among the Z3xZ27 cyclotomic representatives, rank, |Aut|, nodes,
 # generators): three of the widest automorphism groups there.
 WIDEST_Z3Z27 = [
-    (0, 6, 286511799958070431838109696, 1593, 59),
-    (4, 7, 35813974994758803979763712, 1503, 56),
-    (7, 7, 7958661109946400884391936, 1569, 57),
+    (0, 6, 286511799958070431838109696, 111, 59),
+    (4, 7, 35813974994758803979763712, 112, 56),
+    (7, 7, 7958661109946400884391936, 121, 57),
 ]
 
 
@@ -157,7 +157,7 @@ def test_search_counts_regression(rings_z3z9):
     stats = {}
     for ring in rings_z3z9:
         is_schurian(ring, stats=stats)
-    assert stats == {"nodes": 21453, "generators": 3767, "depth": 3145}
+    assert stats == {"nodes": 6699, "generators": 3767, "depth": 3145}
     g81, reps = _z3z27_cyclotomic_reps()
     for idx, rank, order, nodes, generators in WIDEST_Z3Z27:
         ring = validate(g81, labels_to_classes(reps[idx]))
@@ -167,6 +167,28 @@ def test_search_counts_regression(rings_z3z9):
         assert (stats["nodes"], stats["generators"]) == (nodes, generators)
         assert stats["generators"] == len(rep.aut.generators)
         assert stats["depth"] == 54
+
+
+def test_every_generator_is_a_colour_automorphism(rings_z3z9):
+    # the search may return a map found above a leaf; check each generator
+    # against a colour matrix built after the search, and check that every
+    # generator beyond the translations fixes e
+    g81, reps = _z3z27_cyclotomic_reps()
+    rings = list(rings_z3z9)
+    rings += [validate(g81, labels_to_classes(reps[row[0]])) for row in WIDEST_Z3Z27]
+    checked = 0
+    for ring in rings:
+        gens = [np.asarray(f) for f in scheme_automorphisms(ring).generators]
+        translations = len(right_translations(ring.group).generators)
+        m = scheme_matrix(ring)
+        n = len(m)
+        for i, f in enumerate(gens):
+            assert np.array_equal(np.sort(f), np.arange(n))
+            assert np.array_equal(m[np.ix_(f, f)], m)
+            assert i < translations or f[0] == 0
+            checked += i >= translations
+    # the pinned generator counts, less two translations per ring
+    assert checked == 3767 + 59 + 56 + 57 - 2 * 391 - 3 * 2
 
 
 def _round_refine(m, rank, cells):
@@ -237,18 +259,18 @@ def test_refinement_matches_round_based_oracle(rings_z3z9):
     # the round-based oracle does, on every partition the search refines
     g81, reps = _z3z27_cyclotomic_reps()
     rings = list(rings_z3z9)
-    rings += [validate(g81, labels_to_classes(reps[i])) for i in (0, 7)]
-    rings += rings_over(5, 5)
-    nonschurian = checked = 0
+    rings += [validate(g81, labels_to_classes(lbl)) for lbl in reps]
+    rings += rings_over(5, 5) + rings_over(4, 4) + rings_over(2, 8)
+    nonschurian = {}
+    checked = 0
     for ring in rings:
         calls, rep = _refinements(ring)
-        if ring.group.size == 25 and rep.schurian:
-            continue
-        nonschurian += not rep.schurian
+        orders = ring.group.orders
+        nonschurian[orders] = nonschurian.get(orders, 0) + (not rep.schurian)
         for m, rank, lab, start, _, (lab2, start2, _) in calls:
             assert _same_partition(lab2, start2, _round_refine(m, rank, _cells(lab, start)))
             checked += 1
-    assert nonschurian == 125
+    assert nonschurian == {(3, 9): 0, (3, 27): 0, (5, 5): 125, (4, 4): 84, (2, 8): 0}
     assert checked > 20000
 
 

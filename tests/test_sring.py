@@ -351,3 +351,42 @@ _BROKEN = [
 def test_property_checks_reject_a_partition_that_breaks_them(check, orders, classes):
     with pytest.raises(AssertionError):
         getattr(verify, "check_" + check)(_raw_ring(orders, classes))
+
+
+def _first_identity_violation(ring):
+    """Oracle: the first (x, y, z), in loop order, at which the three sides
+    of the structure-constant identity, each one `structure_constant`
+    call, are not all equal; None when there is none."""
+    size = [len(c) for c in ring.classes]
+    inv = ring.inverse_class
+    for x, y, z in itertools.product(range(ring.rank), repeat=3):
+        sides = {
+            size[z] * ring.structure_constant(x, y, inv(z)),
+            size[x] * ring.structure_constant(y, z, inv(x)),
+            size[y] * ring.structure_constant(z, x, inv(y)),
+        }
+        if len(sides) > 1:
+            return (x, y, z)
+    return None
+
+
+def test_structure_constant_identity_matches_triple_loop(rings_z3z9):
+    # every Z3xZ9 ring, and every fourth one with the largest member of its
+    # last class moved into a class of its own, which breaks most of them
+    cases = list(rings_z3z9)
+    for ring in rings_z3z9[::4]:
+        last = ring.classes[-1]
+        if len(last) > 1:
+            classes = list(ring.classes[:-1]) + [last - {max(last)}, {max(last)}]
+            cases.append(SRing(ring.group, [frozenset(c) for c in sorted(classes, key=min)]))
+    broken = 0
+    for ring in cases:
+        expected = _first_identity_violation(ring)
+        if expected is None:
+            verify.check_structure_constant_identity(ring)
+            continue
+        with pytest.raises(AssertionError) as err:
+            verify.check_structure_constant_identity(ring)
+        assert err.value.args == (expected,)
+        broken += 1
+    assert broken == 63
