@@ -12,7 +12,6 @@ from .group import (
     subgroup,
     subgroups,
 )
-from .groupring import GroupRingElement, multiply, sum_of_set
 from .sring import (
     SectionRef,
     SRing,
@@ -31,9 +30,8 @@ from .constructions import (
     tensor,
     wreath,
 )
-from .permaction import PermGroup, right_translations, symmetric_group, two_equivalent
+from .permaction import PermGroup, right_translations, symmetric_group
 from .schurity import (
-    cayley_scheme,
     genwr_certificate,
     is_schurian,
     scheme_automorphisms,
@@ -41,7 +39,6 @@ from .schurity import (
 from .enumeration import (
     classify_up_to_cayley,
     enumerate_srings,
-    enumerate_srings_brute,
     filter_rings,
 )
 
@@ -52,7 +49,6 @@ __all__ = [
     "CatalogSizeMismatch",
     "GroupMap",
     "GroupMismatch",
-    "GroupRingElement",
     "PermGroup",
     "SRing",
     "SRingViolation",
@@ -60,11 +56,9 @@ __all__ = [
     "Subgroup",
     "automorphisms",
     "canonical_c1",
-    "cayley_scheme",
     "classify_up_to_cayley",
     "cyclotomic",
     "enumerate_srings",
-    "enumerate_srings_brute",
     "filter_rings",
     "generated",
     "genwr_certificate",
@@ -72,17 +66,14 @@ __all__ = [
     "is_generalized_wreath",
     "is_schurian",
     "map_from_generator_images",
-    "multiply",
     "quotient",
     "radical",
     "right_translations",
     "scheme_automorphisms",
     "subgroup",
     "subgroups",
-    "sum_of_set",
     "symmetric_group",
     "table1",
     "tensor",
-    "two_equivalent",
     "validate",
 ]

@@ -33,8 +33,8 @@ search's own state, with no second pass: the product rows that partial
 module closure kept cover every pair of non-identity classes, so the leaf
 checks each row constant on every class, and checks inverse closure
 (`_Search._leaf`).  These are the axioms `sring.validate` checks, so
-pruning soundness affects only completeness.  The brute-force oracle
-`enumerate_srings_brute`, which filters every set partition through
+pruning soundness affects only completeness.  The brute-force oracle in
+`tests/conftest.py`, which filters every set partition through
 `sring.validate` and is capped at order 9, cross-checks it.
 All S-ring counts produced here are artifact regression constants; they are
 not published values.
@@ -53,8 +53,8 @@ import numpy as np
 from . import group as grp
 from . import sring as sr
 from .errors import BudgetExceeded, CapExceeded, GroupMismatch
-from .groupring import class_products
 from .permaction import orbit_labels
+from .sring import class_products
 
 DEFAULT_ENUM_CAP = 81
 
@@ -371,33 +371,6 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
         )
     keys = sr.orbit_keys(keys, gens)
     return [sr.SRing(group, [frozenset(c) for c in key]) for key in sorted(keys)]
-
-
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield part + [[first]]
-
-
-def enumerate_srings_brute(group):
-    """Oracle: filter every set partition of G \\ {e} through validation."""
-    if group.size > 9:
-        raise CapExceeded("brute-force oracle is limited to order 9")
-    rest = list(range(1, group.size))
-    out = []
-    for part in _set_partitions(rest):
-        try:
-            ring = sr.validate(group, [[0]] + part)
-        except sr.SRingViolation:
-            continue
-        out.append(ring)
-    out.sort(key=lambda r: r.canonical_key())
-    return out
 
 
 def classify_up_to_cayley(rings, maps=None):

@@ -10,16 +10,16 @@ Two memos sit in front of the chain: `order()` keeps its value in `_order`
 and `point_stabilizer(point)` keeps each stabilizer in `_stabilizers`.  The
 automorphism search in `schurity` fills both for the group it returns (its
 order and the stabilizer of e come out of the search itself), and
-`symmetric_group` fills both from n! and Sym(n-1), so those two calls build
-no chain there; `contains()`, `chain()` and stabilizers of other
-points still do.
+`symmetric_group` fills both from n! and Sym(n-1), for every degree, so no
+library path builds a chain.  The chain (`contains()`, `chain()`, and
+orders and stabilizers of groups given by generators alone) serves only
+the tests and the benchmark's stabilizer-chain probe.
 
 Orbits need no chain.  A partition of 0..n-1 is a row of block-minimum
 labels; `blocks` and `block_labels` convert it to and from its blocks.
 `orbit_labels(tables, n)` is the orbit partition of points under the group
-that the tables generate.  `PermGroup.orbits()`, `orbitals()` and
-`two_equivalent` (over pair codes a * n + b), the enumeration's root-orbit
-split and the cyclic partitions in `verify` use it.  The one
+that the tables generate.  `PermGroup.orbits()`, the enumeration's
+root-orbit split and the cyclic partitions in `verify` use it.  The one
 partition-orbit kernel is `partition_orbits(rows, tables)`, a breadth-first
 closure of a set of partitions with one image function, `_relabel`; its
 callers are `sring.orbit_keys` (the enumeration closure,
@@ -241,11 +241,6 @@ class PermGroup:
     def orbit(self, point):
         return frozenset(orbit_of(self.generators, point))
 
-    def orbitals(self):
-        """Orbit partition of the diagonal action on ordered pairs."""
-        n = self.degree
-        return [tuple(divmod(c, n) for c in b) for b in blocks(_orbital_labels(self))]
-
     def has_faithful_regular_orbit(self):
         """True iff some orbit has size equal to the group order.
 
@@ -272,9 +267,13 @@ def symmetric_group(degree):
 
     Its order n! and the stabilizer of 0, Sym on 1..n-1 from the cycle
     (1 ... n-1) and the transposition (1 2), are filled in, so neither
-    builds a stabilizer chain."""
+    builds a stabilizer chain.  Degree <= 1 gives the trivial group on one
+    point, order 1, which is its own stabilizer of 0."""
     if degree <= 1:
-        return PermGroup([], max(degree, 1))
+        trivial = PermGroup([], 1)
+        trivial._order = 1
+        trivial._stabilizers[0] = trivial
+        return trivial
     full = np.roll(np.arange(degree, dtype=np.int64), -1)
     sub = np.arange(degree, dtype=np.int64)
     sub[: degree - 1] = np.roll(sub[: degree - 1], -1)
@@ -288,13 +287,6 @@ def symmetric_group(degree):
     stab._order = math.factorial(degree - 1)
     sym._stabilizers[0] = stab
     return sym
-
-
-def two_equivalent(p1, p2):
-    """Equal orbit partitions on ordered pairs."""
-    if p1.degree != p2.degree:
-        raise ValueError("groups act on different domains")
-    return bool(np.array_equal(_orbital_labels(p1), _orbital_labels(p2)))
 
 
 def orbit_of(gens, point):
@@ -351,12 +343,6 @@ def _roots(labels):
         if np.array_equal(jumped, labels):
             return labels
         labels = jumped
-
-
-def _orbital_labels(group):
-    """`orbit_labels` over pair codes a * n + b; g maps a code to g[a] * n + g[b]."""
-    n = group.degree
-    return orbit_labels([(g[:, None] * n + g).ravel() for g in group.generators], n * n)
 
 
 def blocks(labels):

@@ -1,15 +1,16 @@
-"""Cayley schemes and the complete color-automorphism search.
+"""Schurity of an S-ring from the complete color-automorphism search of
+its Cayley scheme.
 
 The scheme of an S-ring colors each ordered pair (a,b) by the class of
-b*a^-1.  `scheme_automorphisms` finds generators for the FULL group of
-color-preserving permutations by an exhaustive individualization-refinement
-backtrack: partitions are refined to stability by color-degree counts, the
-branch cell is the first smallest non-singleton cell, and subtrees prune on
-refinement-trace mismatch.  Right translations are seeded as known
-automorphisms, so the top branching level collapses and the search descends
-straight into the stabilizer of e.  Generators found along the way prune
-sibling branches via orbit computations; the result is deterministic as a
-set of generators.
+b*a^-1 (`scheme_matrix`).  `scheme_automorphisms` finds generators for
+the FULL group of color-preserving permutations by an exhaustive
+individualization-refinement backtrack: partitions are refined to
+stability by color-degree counts, the branch cell is the first smallest
+non-singleton cell, and subtrees prune on refinement-trace mismatch.
+Right translations are seeded as known automorphisms, so the top branching
+level collapses and the search descends straight into the stabilizer of e.
+Generators found along the way prune sibling branches via orbit
+computations; the result is deterministic as a set of generators.
 
 Each ordered partition is held as two arrays for the whole search, the
 vertices in cell order and the start of each position's cell, and is
@@ -60,71 +61,12 @@ from . import sring as sr
 from .errors import BudgetExceeded
 
 DEFAULT_NODE_BUDGET = 500_000
-_MAX_TRIPLES = 200_000  # colour triples checked by verify_scheme_axioms
 
 
 def scheme_matrix(ring):
     """Color matrix: M[a, b] = class index of b * a^-1."""
     g = ring.group
     return ring.class_of[g.mul_table[g.inv_table]].astype(np.int32)
-
-
-@dataclass
-class CayleyScheme:
-    ring: "sr.SRing"
-    matrix: np.ndarray
-
-    @property
-    def group(self):
-        return self.ring.group
-
-    def color(self, a, b):
-        return int(self.matrix[a, b])
-
-
-def cayley_scheme(ring):
-    """The Cayley scheme of a ring, its axioms checked."""
-    scheme = CayleyScheme(ring, scheme_matrix(ring))
-    verify_scheme_axioms(scheme)
-    return scheme
-
-
-def verify_scheme_axioms(scheme):
-    """Check the scheme axioms; a failure means an S-ring validation bug.
-
-    Colors partition GxG by construction; the diagonal color, transpose
-    closure, and the intermediate-count regularity (against one
-    representative pair per triple) are checked explicitly, on every
-    triple up to _MAX_TRIPLES and on an evenly spaced sample beyond.
-    """
-    m = scheme.matrix
-    ring = scheme.ring
-    n = m.shape[0]
-    if not np.all(np.diag(m) == 0):
-        raise AssertionError("diagonal pairs must carry the identity color")
-    inv_class = np.array([ring.inverse_class(x) for x in range(ring.rank)])
-    if not np.array_equal(inv_class[m], m.T):
-        raise AssertionError("color set is not closed under transpose")
-    rank = ring.rank
-    triples = rank ** 3
-    step = max(1, triples // _MAX_TRIPLES)
-    idx = 0
-    for t in range(rank):
-        # one representative pair (f, g) with color t
-        f = 0
-        gpt = int(ring.class_arrays[t][0])
-        row_f = m[f]
-        col_g = m[:, gpt]
-        for r in range(rank):
-            for s in range(rank):
-                idx += 1
-                if idx % step:
-                    continue
-                count = int(np.sum((row_f == r) & (col_g == s)))
-                if count != ring.structure_constant(s, r, t):
-                    raise AssertionError(
-                        "intermediate counts disagree with structure constants"
-                    )
 
 
 # -- refinement ---------------------------------------------------------------
@@ -235,8 +177,10 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
     first path or a candidate path, is one node, and the first path is
     refined only once.  Candidate paths stop where the positional map
     already is an automorphism (see the module docstring), so the same
-    budget reaches further into the search than a leaf-only test would.  Counters are added into `stats` in place, if given:
-    `nodes` (refinements), `generators` (of the returned group, translations
+    budget reaches further into the search than a leaf-only test would.
+
+    Counters are added into `stats` in place, if given: `nodes`
+    (refinements), `generators` (of the returned group, translations
     included) and `depth` (the length of the first path).  When the budget
     runs out, the counters so far are added all the same, and then
     BudgetExceeded is raised with the nodes searched and the generators
@@ -244,8 +188,8 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
     """
     g = ring.group
     n = g.size
-    if n == 1 or ring.rank <= 2:
-        aut = pa.PermGroup([], 1) if n == 1 else pa.symmetric_group(n)
+    if ring.rank <= 2:
+        aut = pa.symmetric_group(n)
         _add_stats(stats, 0, len(aut.generators), 0)
         return aut
     m = scheme_matrix(ring)

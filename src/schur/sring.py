@@ -7,6 +7,10 @@ certifies a partition; the enumeration search certifies its leaves from
 its own product rows and builds its rings directly.  Everything downstream
 assumes a certified ring.
 
+Products of class sums in the integer group ring ZG come from one kernel,
+`class_products`, exact in int64; `validate`, `SRing.product_vector` and
+the enumeration search's partial module closure call it.
+
 Restrictions A_U and quotients A_{U/L} live on `group.section(G, U, L)`,
 which gives the section in canonical cyclic form and the map from U onto
 it; the images of the classes inside U are validated there.
@@ -41,7 +45,6 @@ import numpy as np
 
 from . import group as grp
 from . import permaction as pa
-from .groupring import class_products
 
 
 class SRingViolation(Exception):
@@ -246,6 +249,20 @@ def _canonical_classes(group, partition):
         classes.append(members)
     classes.sort(key=min)
     return classes
+
+
+def class_products(group, xs, members, labels, k):
+    """The k x |G| matrix whose row c is the coefficient vector of
+    underline(X)*underline(C_c), C_c = {members[j] : labels[j] == c}, in
+    the integer group ring ZG.
+
+    One bincount over label * |G| + (x * member) for x in X and every
+    labelled member; the counts are exact int64.  X is an index array;
+    members and labels are index arrays of equal length, labels in [0, k).
+    """
+    n = group.size
+    idx = group.mul_table[xs[:, None], members] + labels * n
+    return np.bincount(idx.ravel(), minlength=k * n).reshape(k, n)
 
 
 def validate(group, partition):

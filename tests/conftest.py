@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from schur import AbelianGroup
+from schur import AbelianGroup, CapExceeded
+from schur import sring as sr
 from schur.enumeration import enumerate_srings
 
 STRETCH = os.environ.get("SCHUR_STRETCH", "") not in ("", "0")
@@ -50,6 +51,44 @@ def all_small_ring_sets():
         key: rings_over(*key)
         for key in [(2,), (3,), (4,), (2, 2), (9,), (3, 3), (27,), (3, 9)]
     }
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [first]] + part[i + 1:]
+        yield part + [[first]]
+
+
+def enumerate_srings_brute(group):
+    """Oracle: filter every set partition of G \\ {e} through validation."""
+    if group.size > 9:
+        raise CapExceeded("brute-force oracle is limited to order 9")
+    rest = list(range(1, group.size))
+    out = []
+    for part in set_partitions(rest):
+        try:
+            ring = sr.validate(group, [[0]] + part)
+        except sr.SRingViolation:
+            continue
+        out.append(ring)
+    out.sort(key=lambda r: r.canonical_key())
+    return out
+
+
+def oracle_set_product(group, xs, ys):
+    """Coefficient list of underline(X)*underline(Y) in ZG for index
+    iterables X and Y, by adding residue tuples with `group.mul`; it shares
+    no code with `mul_table` or `sring.class_products`."""
+    out = [0] * group.size
+    for x in xs:
+        for y in ys:
+            out[group.index[group.mul(group.elements[x], group.elements[y])]] += 1
+    return out
 
 
 def scan_isomorphism(a, b, maps):

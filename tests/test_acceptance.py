@@ -18,7 +18,6 @@ from schur.constructions import CATALOG_SIZES, catalog_maps, map_group_closure
 from schur.enumeration import (
     classify_up_to_cayley,
     enumerate_srings,
-    enumerate_srings_brute,
 )
 from schur.group import full_subgroup
 from schur.schurity import scheme_automorphisms
@@ -43,6 +42,7 @@ from schur.verify import (
 from conftest import (
     abelian_group_orders_up_to,
     all_small_ring_sets,
+    enumerate_srings_brute,
     rings_over,
     scan_isomorphism,
     stretch,

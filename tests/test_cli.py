@@ -25,6 +25,20 @@ def run_cli(args, stdin=None):
     return proc
 
 
+def test_public_api_names_resolve():
+    assert all(hasattr(schur, name) for name in schur.__all__)
+    removed = {
+        "GroupRingElement",
+        "multiply",
+        "sum_of_set",
+        "cayley_scheme",
+        "two_equivalent",
+        "enumerate_srings_brute",
+    }
+    assert not removed & set(schur.__all__)
+    assert not any(hasattr(schur, name) for name in removed)
+
+
 def test_enumerate_writes_header_and_rings(tmp_path):
     out = tmp_path / "rings.json"
     proc = run_cli(["enumerate", "--group", "3,3", "-o", str(out), "--jobs", "1"])

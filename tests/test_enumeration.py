@@ -13,12 +13,17 @@ from schur.enumeration import (
     _Search,
     classify_up_to_cayley,
     enumerate_srings,
-    enumerate_srings_brute,
     filter_rings,
 )
 from schur.verify import c1_preserving_automorphisms
 
-from conftest import abelian_group_orders_up_to, rings_over, stretch
+from conftest import (
+    abelian_group_orders_up_to,
+    enumerate_srings_brute,
+    rings_over,
+    set_partitions,
+    stretch,
+)
 
 
 @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [9], [3, 3], []])
@@ -180,7 +185,7 @@ def test_leaf_certificate_matches_validate():
     for orders in ([2, 4], [2, 2, 2], [3, 3]):
         g = AbelianGroup(orders)
         accepted = []
-        for part in enumeration._set_partitions(list(range(1, g.size))):
+        for part in set_partitions(list(range(1, g.size))):
             classes = [(0,)] + sorted(tuple(sorted(c)) for c in part)
             s = _Search(g, None, _new_stats())
             if not all(s._assign(c) for c in classes[1:]):
