@@ -4,11 +4,9 @@ enumeration, and schurity testing."""
 from .errors import BudgetExceeded, CapExceeded, GroupMismatch
 from .group import (
     AbelianGroup,
-    GroupMap,
     Subgroup,
     automorphisms,
     map_from_generator_images,
-    quotient,
     subgroup,
     subgroups,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "BudgetExceeded",
     "CapExceeded",
     "CatalogSizeMismatch",
-    "GroupMap",
     "GroupMismatch",
     "PermGroup",
     "SRing",
@@ -66,7 +63,6 @@ __all__ = [
     "is_generalized_wreath",
     "is_schurian",
     "map_from_generator_images",
-    "quotient",
     "radical",
     "right_translations",
     "scheme_automorphisms",

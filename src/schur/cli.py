@@ -9,11 +9,8 @@ Each subcommand takes only the budget flags it reads:
   enumerate      --max-order, --time-limit, --jobs
   verify-paper   --time-limit, --jobs
 
-Their defaults come from the environment variables SCHUR_MAX_ORDER,
-SCHUR_TIME_LIMIT and SCHUR_JOBS when these are set; a subcommand reads
-only the variables of its own flags.  `check --schurity`
-and `aut` take no budget flag; their automorphism search stops at its
-fixed node budget, which exits 2 like any other budget.
+`check --schurity` and `aut` take no budget flag; their automorphism
+search stops at its fixed node budget, which exits 2 like any other budget.
 """
 
 from __future__ import annotations
@@ -47,43 +44,20 @@ EX_USAGE = 64
 EX_DATA = 65
 
 
-def _env(name, default, cast):
-    raw = os.environ.get("SCHUR_" + name)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as e:
-        raise SystemExit(_usage_error("bad SCHUR_%s %r: %s" % (name, raw, e)))
-
-
-# flag -> (environment variable suffix, default, type, help)
+# flag -> (default, type, help)
 BUDGETS = {
     "--max-order": (
-        "MAX_ORDER",
         DEFAULT_ENUM_CAP,
         int,
         "largest group order to enumerate (default %d)" % DEFAULT_ENUM_CAP,
     ),
-    "--time-limit": ("TIME_LIMIT", None, float, "wall-clock limit in seconds"),
+    "--time-limit": (None, float, "wall-clock limit in seconds"),
     "--jobs": (
-        "JOBS",
         os.cpu_count() or 1,
         int,
         "worker count for enumeration (default: available parallelism)",
     ),
 }
-
-
-def _fill_budgets(args):
-    """Default each budget flag of the chosen subcommand that was not passed
-    from its environment variable, if set.  Only the chosen subcommand's
-    variables are read, so a malformed one stops no other subcommand."""
-    for flag in getattr(args, "budgets", ()):
-        dest = flag[2:].replace("-", "_")
-        if getattr(args, dest) is None:
-            name, default, cast, _ = BUDGETS[flag]
-            setattr(args, dest, _env(name, default, cast))
 
 
 def _parse_group(text):
@@ -312,9 +286,8 @@ def build_parser():
 
     def add_budgets(q, *flags):
         for flag in flags:
-            _, _, cast, text = BUDGETS[flag]
-            q.add_argument(flag, type=cast, default=None, help=text)
-        q.set_defaults(budgets=flags)
+            default, cast, text = BUDGETS[flag]
+            q.add_argument(flag, type=cast, default=default, help=text)
 
     q = sub.add_parser("enumerate", help="enumerate all S-rings over a group")
     q.add_argument("--group", required=True, help="comma-separated cyclic orders, e.g. 3,9")
@@ -387,7 +360,6 @@ def main(argv=None):
         if e.code not in (0, None):
             raise SystemExit(EX_USAGE)
         raise
-    _fill_budgets(args)
     code = args.fn(args)
     raise SystemExit(code)
 

@@ -19,29 +19,23 @@ class CatalogSizeMismatch(Exception):
 
 
 def cyclotomic(group, maps):
-    """Cyc(K, G): the orbit partition of the group generated by the maps."""
-    for f in maps:
-        if f.src != group or f.dst != group or not f.bijective or not f.is_homomorphism():
+    """Cyc(K, G): the orbit partition of K, the group that the maps generate.
+
+    Each map is the image table of an automorphism of G.  The tables may
+    come from outside the program, so each is checked: a table of the wrong
+    length, one that is not a permutation and one that is not a
+    homomorphism raise ValueError.
+    """
+    tables = [np.asarray(f, dtype=np.int64) for f in maps]
+    ident, mul = np.arange(group.size), group.mul_table
+    for t in tables:
+        if (
+            t.shape != ident.shape
+            or not np.array_equal(np.sort(t), ident)
+            or not np.array_equal(t[mul], mul[np.ix_(t, t)])
+        ):
             raise ValueError("cyclotomic construction requires automorphisms of G")
-    return sr.validate(group, pa.PermGroup([f.table for f in maps], group.size).orbits())
-
-
-def map_group_closure(maps):
-    """All elements of the group generated by the given bijective maps."""
-    if not maps:
-        return []
-    g = maps[0].src
-    ident = grp.identity_map(g)
-    seen = {ident.table: ident}
-    frontier = [ident]
-    while frontier:
-        f = frontier.pop()
-        for m in maps:
-            c = f.compose(m)
-            if c.table not in seen:
-                seen[c.table] = c
-                frontier.append(c)
-    return list(seen.values())
+    return sr.validate(group, pa.PermGroup(tables, group.size).orbits())
 
 
 def tensor(a, b):
@@ -134,7 +128,8 @@ def _compile_word(group, n, word, mirror):
 
 
 def catalog_maps(row, n, mirror=False):
-    """The generating automorphisms of catalog row `row` over Z3 x Z3^n.
+    """(D, tables): the image tables of the generating automorphisms of
+    catalog row `row` over D = Z3 x Z3^n.
 
     The symbol c1 in the generator words names one of the two order-3
     elements of the top cyclic factor; the two resolutions give rings that
@@ -151,10 +146,10 @@ def catalog_maps(row, n, mirror=False):
         x_img = _compile_word(d, n, x_word, mirror)
         s_img = _compile_word(d, n, s_word, mirror)
         f = grp.map_from_generator_images(d, [s_img, x_img])
-        if not f.bijective:
+        if len(np.unique(f)) != d.size:
             raise CatalogSizeMismatch("row %d generator is not bijective at n=%d" % (row, n))
         maps.append(f)
-    return d, maps
+    return d, np.array(maps)
 
 
 def table1(row, n, mirror=False):
@@ -164,7 +159,7 @@ def table1(row, n, mirror=False):
     and raises CatalogSizeMismatch otherwise.
     """
     d, maps = catalog_maps(row, n, mirror)
-    generated = map_group_closure(maps)
+    generated = grp.map_closure(maps)
     if len(generated) != CATALOG_SIZES[row]:
         raise CatalogSizeMismatch(
             "row %d generates order %d, catalog says %d"

@@ -339,12 +339,12 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
         if pivot is None:  # the trivial group: the root is its only leaf
             root._leaf()
         else:
-            stab = [f for f in grp.automorphisms(group) if f.table[pivot] == pivot]
-            gens = [f.table for f in grp.generating_subset(stab)]
+            auts = grp.automorphisms(group)
+            gens = grp.generating_subset(auts[auts[:, pivot] == pivot])
             _check_deadline(deadline)
             roots = root.candidates(pivot)
-            if gens:
-                roots = _root_orbit_representatives(roots, np.array(gens, dtype=np.int64))
+            if len(gens):
+                roots = _root_orbit_representatives(roots, gens)
             _check_deadline(deadline)
     except BudgetExceeded:
         roots, timed_out = [], True
@@ -375,12 +375,13 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
 
 def classify_up_to_cayley(rings, maps=None):
     """Orbit representatives and orbit sizes under the group generated by
-    `maps` (default: all of Aut(G)).
+    `maps`, image tables of automorphisms of G (default: all of Aut(G), the
+    rows of `group.automorphisms`).
 
     Returns [(representative, size)] sorted by representative key; sizes sum
     to the input count.  Each orbit is closed by `sring.orbit_keys` under the
-    few maps that `group.generating_subset` keeps, which generate the same
-    group as the whole list.  Raises GroupMismatch when the rings lie over
+    few rows that `group.generating_subset` keeps, which generate the same
+    group as all of them.  Raises GroupMismatch when the rings lie over
     different groups, and ValueError when they are not a union of orbits.
     """
     if not rings:
@@ -389,7 +390,7 @@ def classify_up_to_cayley(rings, maps=None):
     if any(r.group != group for r in rings):
         raise GroupMismatch("rings over groups %s" % sorted({r.group.orders for r in rings}))
     maps = grp.automorphisms(group) if maps is None else maps
-    tables = [f.table for f in grp.generating_subset(maps)]
+    tables = grp.generating_subset(maps)
     keys = {r.canonical_key(): r for r in rings}
     unseen = set(keys)
     out = []

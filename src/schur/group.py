@@ -6,12 +6,17 @@ lexicographic order of their residue tuples.  Every derived structure in
 this package (subgroups, partitions, permutations) works on canonical
 indices; tuples appear only at API boundaries and in JSON.
 
+A map of G to itself is its image table, an int64 array t with t[i] the
+index of the image of element i.  `automorphisms(G)` is one (|Aut|, |G|)
+array of such tables, and a group of maps is given by a few of its rows
+(`generating_subset`), as `permaction` expects.
+
 A group that is not an `AbelianGroup` -- a subgroup, a quotient, the
 multiplier group of exponents -- is given only by its multiplication table
 over indices 0..k-1 with the identity at 0.  One kernel, `subgroup_sets`,
 lists the subgroups of such a table; `section(G, U, L)` builds the coset
-table of U/L and reads its canonical cyclic form off it, for `quotient`
-and for the restrictions and quotients of S-rings.
+table of U/L and reads its canonical cyclic form off it, for the
+restrictions and quotients of S-rings.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
+from . import permaction as pa
 from .errors import CapExceeded, GroupMismatch
 
 DEFAULT_ORDER_CAP = 243
@@ -92,12 +98,6 @@ class AbelianGroup:
 
     # -- index-level fast path ---------------------------------------------
 
-    def imul(self, i, j):
-        return int(self.mul_table[i, j])
-
-    def iinv(self, i):
-        return int(self.inv_table[i])
-
     def power_map(self, m):
         """Index array of x -> x^m over the whole group."""
         mods = np.array(self.orders, dtype=np.int64).reshape(1, -1) if self.rank else None
@@ -165,20 +165,10 @@ class Subgroup:
 
 
 def closure(group, seeds):
-    """Member indices of the subgroup generated by the given indices."""
-    seen = {0}
-    frontier = [0]
-    seeds = [int(s) for s in seeds]
-    mul = group.mul_table
-    while frontier:
-        x = frontier.pop()
-        for s in seeds:
-            y = int(mul[x, s])
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    # seeds of finite order generate their inverses, so one-sided closure is enough
-    return frozenset(seen)
+    """Member indices of the subgroup generated by the given indices: the
+    orbit of e under translation by the seeds (seeds of finite order
+    generate their inverses, so the one-sided orbit is enough)."""
+    return frozenset(pa.orbit_of(group.mul_table[[int(s) for s in seeds]], 0))
 
 
 def subgroup(group, generator_indices):
@@ -193,74 +183,13 @@ def full_subgroup(group):
     return Subgroup(group, frozenset(range(group.size)))
 
 
-@dataclass(frozen=True)
-class GroupMap:
-    """A homomorphism given by its full image table on canonical indices."""
-
-    src: AbelianGroup
-    dst: AbelianGroup
-    table: tuple
-
-    @property
-    def injective(self):
-        return len(set(self.table)) == len(self.table)
-
-    @property
-    def surjective(self):
-        return len(set(self.table)) == self.dst.size
-
-    @property
-    def bijective(self):
-        return self.injective and self.src.size == self.dst.size
-
-    def __call__(self, g):
-        return self.dst.elements[self.table[self.src.index[self.src.element(g)]]]
-
-    def apply_index(self, i):
-        return self.table[i]
-
-    def apply_set(self, indices):
-        return frozenset(self.table[i] for i in indices)
-
-    def compose(self, other):
-        """self followed by other."""
-        if self.dst != other.src:
-            raise GroupMismatch("cannot compose maps across different groups")
-        return GroupMap(self.src, other.dst, tuple(other.table[t] for t in self.table))
-
-    def inverse(self):
-        if not self.bijective:
-            raise ValueError("only bijective maps can be inverted")
-        inv = [0] * len(self.table)
-        for i, t in enumerate(self.table):
-            inv[t] = i
-        return GroupMap(self.dst, self.src, tuple(inv))
-
-    def is_homomorphism(self):
-        mul_s, mul_d = self.src.mul_table, self.dst.mul_table
-        t = np.array(self.table, dtype=np.int64)
-        return bool(np.array_equal(t[mul_s], mul_d[np.ix_(t, t)]))
-
-    def kernel(self):
-        return frozenset(i for i, t in enumerate(self.table) if t == 0)
-
-    def __hash__(self):
-        return hash((self.src.orders, self.dst.orders, self.table))
-
-    def __repr__(self):
-        return "GroupMap(%s -> %s)" % (self.src, self.dst)
-
-
-def identity_map(group):
-    return GroupMap(group, group, tuple(range(group.size)))
-
-
 def map_from_generator_images(group, images):
-    """The endomorphism sending the i-th canonical generator to images[i].
+    """The image table of the endomorphism sending the i-th canonical
+    generator to images[i].
 
     Well defined iff each image order divides the corresponding factor order;
-    otherwise raises ValueError.  Bijectivity is left to the caller via the
-    returned map's flags.
+    otherwise raises ValueError.  The map is a bijection iff the table holds
+    every index once; that is left to the caller.
     """
     images = [group.element(t) for t in images]
     if len(images) != group.rank:
@@ -274,12 +203,12 @@ def map_from_generator_images(group, images):
     # image of (a1,...,ak) is sum_j aj * images[j], computed coordinatewise
     mods = np.array(group.orders, dtype=np.int64)
     img_res = np.array(images, dtype=np.int64).reshape(group.rank, group.rank)
-    table = ((group._residues @ img_res) % mods) @ group._radix
-    return GroupMap(group, group, tuple(int(v) for v in table))
+    return ((group._residues @ img_res) % mods) @ group._radix
 
 
-def automorphisms(group, cap=DEFAULT_ORDER_CAP):
-    """The full automorphism group, sorted by table.
+def automorphisms(group):
+    """The full automorphism group as one (|Aut|, |G|) int64 array of image
+    tables, its rows in lexicographic order.
 
     Generator images are chosen one cyclic factor at a time, each among the
     elements whose order divides the factor's.  A choice for the first j
@@ -288,13 +217,11 @@ def automorphisms(group, cap=DEFAULT_ORDER_CAP):
     to 0.  Extending a table by the image c of the next generator gives
     T(x) + t*c at x + t*e_j, so each batch of extensions is one lookup in
     the multiplication table.  Batches hold at most _AUT_BATCH entries, and
-    kept tables are stored in the narrowest index type, so memory stays
-    near the size of the result.
+    tables are built in the narrowest index type, so memory stays near the
+    size of the result.
     """
-    if group.size > cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (group.size, cap))
-    if group.rank == 0:
-        return [identity_map(group)]
+    if group.size > DEFAULT_ORDER_CAP:
+        raise CapExceeded("group order %d exceeds cap %d" % (group.size, DEFAULT_ORDER_CAP))
     mods = np.array(group.orders, dtype=np.int64)
     index_type = np.min_scalar_type(group.size - 1)
     tables = np.zeros((1, 1), dtype=index_type)  # the trivial map on S_0 = {0}
@@ -311,49 +238,46 @@ def automorphisms(group, cap=DEFAULT_ORDER_CAP):
             ext = ext.reshape(-1, width)
             kept.append(ext[(ext == 0).sum(axis=1) == 1].astype(index_type))
         tables = np.concatenate(kept)
-    tables = tables[np.lexsort(tables.T[::-1])]
-    rows = max(1, _AUT_BATCH // group.size)
-    return [
-        GroupMap(group, group, tuple(t))
-        for lo in range(0, len(tables), rows)
-        for t in tables[lo:lo + rows].tolist()
-    ]
+    return tables[np.lexsort(tables.T[::-1])].astype(np.int64)
 
 
-def generating_subset(maps):
-    """A subset of `maps` that generates the same group of bijections.
-
-    Greedy, in input order: a map is kept only when it lies outside the
-    closure of the maps kept so far.  Each kept map at least doubles that
-    closure, so at most log2 of the group order are kept (4 of the 324
-    automorphisms of Z3 x Z27).  Orbits under the group can then be found
-    by breadth-first search over these few maps.
-    """
-    maps = list(maps)
-    if not maps:
-        return []
-    n = len(maps[0].table)
+def map_closure(tables):
+    """The group of bijections that the image tables generate, as a set of
+    row tuples, by breadth-first search from the identity."""
+    gens = np.asarray(tables, dtype=np.int64)
+    n = gens.shape[1]
     seen = {tuple(range(n))}
-    elements = np.arange(n, dtype=np.int64).reshape(1, n)
+    frontier = np.arange(n, dtype=np.int64).reshape(1, n)
+    while len(frontier):
+        fresh = []
+        for row in gens[:, frontier].reshape(-1, n).tolist():
+            t = tuple(row)
+            if t not in seen:
+                seen.add(t)
+                fresh.append(row)
+        frontier = np.array(fresh, dtype=np.int64).reshape(-1, n)
+    return seen
+
+
+def generating_subset(tables):
+    """Rows of the image tables `tables` that generate the same group of
+    bijections, as an int64 array.
+
+    Greedy, in row order: a row is kept only when it lies outside the
+    closure of the rows kept so far.  Each kept row at least doubles that
+    closure, so at most log2 of the group order are kept (4 of the 324
+    automorphisms of Z3 x Z27), and the closures taken sum to at most twice
+    the last.  Orbits under the group can then be found by breadth-first
+    search over these few rows.
+    """
+    tables = np.asarray(tables, dtype=np.int64)
+    seen = {tuple(range(tables.shape[-1]))}
     kept = []
-    for f in maps:
-        if f.table in seen:
-            continue
-        kept.append(f)
-        gens = np.array([g.table for g in kept], dtype=np.int64)
-        # `seen` already holds the old closure, so the search starts from all
-        # of it rather than from the identity
-        frontier = elements
-        while len(frontier):
-            fresh = []
-            for row in gens[:, frontier].reshape(-1, n).tolist():
-                t = tuple(row)
-                if t not in seen:
-                    seen.add(t)
-                    fresh.append(row)
-            frontier = np.array(fresh, dtype=np.int64).reshape(-1, n)
-            elements = np.concatenate([elements, frontier])
-    return kept
+    for i, row in enumerate(map(tuple, tables.tolist())):
+        if row not in seen:
+            kept.append(i)
+            seen = map_closure(tables[kept])
+    return tables[kept]
 
 
 # -- sections on multiplication tables -------------------------------------
@@ -398,10 +322,10 @@ def subgroup_sets(table):
     return sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))
 
 
-def subgroups(group, cap=DEFAULT_ORDER_CAP):
+def subgroups(group):
     """All subgroups, sorted by (order, member list)."""
-    if group.size > cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (group.size, cap))
+    if group.size > DEFAULT_ORDER_CAP:
+        raise CapExceeded("group order %d exceeds cap %d" % (group.size, DEFAULT_ORDER_CAP))
     return [Subgroup(group, frozenset(s)) for s in subgroup_sets(group.mul_table)]
 
 
@@ -457,19 +381,6 @@ def section(group, upper, lower):
     q_of = np.empty(len(reps), dtype=np.int64)
     q_of[elems] = np.arange(len(reps))
     return AbelianGroup(orders), dict(zip(u.tolist(), q_of[pos[coset[u]]].tolist()))
-
-
-def quotient(group, sub):
-    """(Q, pi) with Q = G/L in canonical cyclic form and pi the projection:
-    `section(G, G, L)` as a map on all of G.
-
-    pi is surjective with kernel exactly L; abelian groups need no normality
-    check.
-    """
-    if not isinstance(sub, Subgroup):
-        raise TypeError("expected a Subgroup")
-    q, pi = section(group, range(group.size), sub.members)
-    return q, GroupMap(group, q, tuple(pi[i] for i in range(group.size)))
 
 
 def _is_subgroup_set(group, members):

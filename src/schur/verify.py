@@ -69,13 +69,11 @@ def cyclotomic_partition_orbits(group):
     # every automorphism's cyclic partition at once, as one permutation of
     # len(auts) disjoint copies of G
     offsets = np.arange(len(auts), dtype=np.int64).reshape(-1, 1) * n
-    tables = np.array([f.table for f in auts], dtype=np.int64).reshape(-1, n) + offsets
+    tables = auts + offsets
     rows = orbit_labels([tables.ravel()], tables.size).reshape(-1, n) - offsets
     cyclic = dict.fromkeys(map(tuple, rows.tolist()))
     cyclic_rows = np.array(list(cyclic), dtype=np.int64)
-    gens = np.array(
-        [f.table for f in grp.generating_subset(auts)], dtype=np.int64
-    ).reshape(-1, n)
+    gens = grp.generating_subset(auts)
     known = set()
     reps = []
 
@@ -135,13 +133,10 @@ def e_c1_catalog():
 
 
 def c1_preserving_automorphisms(group):
-    c1 = sr.canonical_c1(group)
-    c1_sub = sr.generated(group, [c1]).members
-    return [
-        f
-        for f in grp.automorphisms(group)
-        if frozenset(f.apply_index(i) for i in c1_sub) == c1_sub
-    ]
+    """The rows of `group.automorphisms` that map C1 onto itself."""
+    c1 = sr.generated(group, [sr.canonical_c1(group)]).sorted_members()
+    auts = grp.automorphisms(group)
+    return auts[np.isin(auts[:, c1], c1).all(axis=1)]
 
 
 # -- structural checks shared by claims and tests ------------------------------
@@ -191,7 +186,7 @@ def catalog_keys(n):
     catalog = [cons.table1(i, n) for i in range(10)]
     catalog += [cons.table1(i, n, mirror=True) for i in range(6, 10)]
     d = catalog[0].group
-    tables = [f.table for f in grp.generating_subset(grp.automorphisms(d))]
+    tables = grp.generating_subset(grp.automorphisms(d))
     return sr.orbit_keys([c.canonical_key() for c in catalog], tables)
 
 
@@ -295,7 +290,7 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
         classes = classify_up_to_cayley(withc1, maps=maps)
         assert len(classes) == 9, "expected 9 classes, got %d" % len(classes)
         reps = [rep.canonical_key() for rep, _ in classes]
-        tables = [f.table for f in grp.generating_subset(maps)]
+        tables = grp.generating_subset(maps)
         least = [min(sr.orbit_keys([f.canonical_key()], tables)) for f in e_c1_catalog()]
         assert set(least) <= set(reps), "a catalog form matches no class"
         assert sorted(least) == reps, "classes and catalog forms must biject"
@@ -508,14 +503,14 @@ def check_order_layer_cosets(ring):
     if len(g.orders) != 2:
         return
     c1 = g.index[sr.canonical_c1(g)]
-    c1sq = g.iinv(c1)
+    c1sq, mul = g.inv_table[c1], g.mul_table
     for c in ring.classes:
         for a in c:
             oa = int(g.order_table[a])
             if oa < 9:
                 continue
             if any(3 <= int(g.order_table[b]) < oa for b in c):
-                assert g.imul(a, c1) in c and g.imul(a, c1sq) in c, (sorted(c), a)
+                assert mul[a, c1] in c and mul[a, c1sq] in c, (sorted(c), a)
 
 
 def check_cyclic_class_shapes(ring):
@@ -523,9 +518,9 @@ def check_cyclic_class_shapes(ring):
     equals <X> \\ rad(X)."""
     g = ring.group
     auts = grp.automorphisms(g)
-    for c in ring.classes:
-        stab = [f for f in auts if f.apply_set(c) == c]
-        orbit = orbit_of([f.table for f in stab], next(iter(c)))
+    for c, arr in zip(ring.classes, ring.class_arrays):
+        stab = auts[np.isin(auts[:, arr], arr).all(axis=1)]
+        orbit = orbit_of(stab, arr[0])
         if orbit == c:
             continue
         gen = sr.generated(g, c).members

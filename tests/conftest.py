@@ -99,7 +99,8 @@ def scan_isomorphism(a, b, maps):
         return None
     target = set(b.classes)
     for f in maps:
-        if all(frozenset(f.table[i] for i in c) in target for c in a.classes):
+        f = f.tolist()
+        if all(frozenset(f[i] for i in c) in target for c in a.classes):
             return f
     return None
 
@@ -162,7 +163,7 @@ def oracle_is_a_set(ring, xs):
 def oracle_radical(group, xs):
     """rad(X) = {g : X + g = X}; each g in it is x - x0 for some x in X."""
     xs = frozenset(xs)
-    mul, x0 = _sums(group), group.iinv(min(xs))
+    mul, x0 = _sums(group), int(group.inv_table[min(xs)])
     return frozenset(g for g in (mul[x][x0] for x in xs) if all(mul[x][g] in xs for x in xs))
 
 

@@ -14,12 +14,12 @@ from schur import (
     table1,
 )
 from schur import sring as sr
-from schur.constructions import CATALOG_SIZES, catalog_maps, map_group_closure
+from schur.constructions import CATALOG_SIZES, catalog_maps
 from schur.enumeration import (
     classify_up_to_cayley,
     enumerate_srings,
 )
-from schur.group import full_subgroup
+from schur.group import full_subgroup, map_closure
 from schur.schurity import scheme_automorphisms
 from schur.verify import (
     c1_preserving_automorphisms,
@@ -129,7 +129,7 @@ def test_criterion_4_catalog_rows(n):
     assert CATALOG_SIZES == (1, 2, 2, 4, 2, 2, 3, 6, 6, 6)
     for row in range(10):
         d, maps = catalog_maps(row, n)
-        assert len(map_group_closure(maps)) == CATALOG_SIZES[row]
+        assert len(map_closure(maps)) == CATALOG_SIZES[row]
         ring = table1(row, n)  # validates; raises on size mismatch
         assert ring.is_regular()
         assert ring.ring_radical().order == 1

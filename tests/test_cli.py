@@ -34,6 +34,8 @@ def test_public_api_names_resolve():
         "cayley_scheme",
         "two_equivalent",
         "enumerate_srings_brute",
+        "GroupMap",
+        "quotient",
     }
     assert not removed & set(schur.__all__)
     assert not any(hasattr(schur, name) for name in removed)
@@ -192,33 +194,6 @@ def test_verify_paper_time_limit_stops_every_claim():
 def test_enumerate_time_limit_zero_exits_2():
     proc = run_cli(["enumerate", "--group", "3,9", "--time-limit", "0", "--jobs", "1"])
     assert proc.returncode == 2, proc.stdout + proc.stderr
-
-
-@pytest.mark.parametrize("name", ["MAX_ORDER", "TIME_LIMIT", "JOBS"])
-def test_malformed_environment_variable_is_usage_error(monkeypatch, capsys, name):
-    monkeypatch.setenv("SCHUR_" + name, "abc")
-    with pytest.raises(SystemExit) as e:
-        main(["enumerate", "--group", "3,3"])
-    assert e.value.code == 64
-    assert "error: bad SCHUR_%s 'abc'" % name in capsys.readouterr().err
-
-
-def test_environment_variables_of_other_subcommands_are_not_read(monkeypatch, tmp_path, capsys):
-    path = tmp_path / "ring.json"
-    path.write_text(json.dumps({"group": [3], "classes": [[[0]], [[1]], [[2]]]}))
-    monkeypatch.setenv("SCHUR_TIME_LIMIT", "x")
-    with pytest.raises(SystemExit) as e:
-        main(["aut", str(path)])
-    assert e.value.code == 0
-    monkeypatch.delenv("SCHUR_TIME_LIMIT")
-    monkeypatch.setenv("SCHUR_JOBS", "abc")
-    with pytest.raises(SystemExit) as e:
-        main(["check", str(path)])
-    assert e.value.code == 0
-    with pytest.raises(SystemExit) as e:
-        main(["enumerate", "--group", "3,3"])
-    assert e.value.code == 64
-    assert "error: bad SCHUR_JOBS 'abc'" in capsys.readouterr().err
 
 
 def test_main_entry_usage_error_code():

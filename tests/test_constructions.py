@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from schur import (
@@ -16,15 +17,15 @@ from schur import (
     validate,
     wreath,
 )
-from schur.constructions import CATALOG_SIZES, catalog_maps, map_group_closure
-from schur.group import full_subgroup, identity_map, subgroup, trivial_subgroup
+from schur.constructions import CATALOG_SIZES, catalog_maps
+from schur.group import full_subgroup, map_closure, subgroup, trivial_subgroup
 
 from conftest import rings_over, scan_isomorphism
 
 
 def test_cyclotomic_identity_gives_full_group_ring():
     g = AbelianGroup([3, 3])
-    ring = cyclotomic(g, [identity_map(g)])
+    ring = cyclotomic(g, [np.arange(g.size)])
     assert ring.rank == 9
 
 
@@ -38,9 +39,13 @@ def test_cyclotomic_inversion_pairs():
 def test_cyclotomic_rejects_non_automorphism():
     g = AbelianGroup([9])
     tripler = map_from_generator_images(g, [(3,)])
-    assert not tripler.bijective
-    with pytest.raises(ValueError):
-        cyclotomic(g, [tripler])
+    assert len(set(tripler.tolist())) < g.size
+    swap12 = [0, 2, 1, 3, 4, 5, 6, 7, 8]  # a bijection, not a homomorphism
+    out_of_range = list(range(8)) + [9]
+    inv = map_from_generator_images(g, [(8,)])
+    for bad in (tripler, swap12, out_of_range, list(range(8)), list(range(10))):
+        with pytest.raises(ValueError):
+            cyclotomic(g, [inv, bad])
 
 
 def test_cyclotomic_class_sizes_divide_group_order():
@@ -116,9 +121,9 @@ def test_gw_sections_exclude_trivial_and_full():
 def test_catalog_sizes(n):
     for row in range(10):
         d, maps = catalog_maps(row, n)
-        assert len(map_group_closure(maps)) == CATALOG_SIZES[row]
+        assert len(map_closure(maps)) == CATALOG_SIZES[row]
         d, maps = catalog_maps(row, n, mirror=True)
-        assert len(map_group_closure(maps)) == CATALOG_SIZES[row]
+        assert len(map_closure(maps)) == CATALOG_SIZES[row]
 
 
 def test_catalog_row0_is_full_group_ring():
@@ -127,7 +132,7 @@ def test_catalog_row0_is_full_group_ring():
 
 def test_catalog_row3_group_order():
     _, maps = catalog_maps(3, 2)
-    assert len(map_group_closure(maps)) == 4
+    assert len(map_closure(maps)) == 4
 
 
 def test_catalog_rows_regular_trivial_radical():

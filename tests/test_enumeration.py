@@ -61,7 +61,7 @@ def test_closed_under_automorphisms_and_rational_conjugation():
         for f in automorphisms(g):
             for ring in rings:
                 moved = sorted(
-                    tuple(sorted(f.apply_index(i) for i in c)) for c in ring.classes
+                    tuple(sorted(int(f[i]) for i in c)) for c in ring.classes
                 )
                 assert tuple(moved) in keys
         for m in g.multiplier_exponents():
@@ -302,7 +302,7 @@ def _orbits_under_every_map(rings, maps):
         if key not in left:
             continue
         orbit = {
-            tuple(sorted(tuple(sorted(f.table[i] for i in c)) for c in key)) for f in maps
+            tuple(sorted(tuple(sorted(int(f[i]) for i in c)) for c in key)) for f in maps
         }
         assert orbit <= keys, "ring set not closed under Aut(G)"
         left -= orbit

@@ -120,7 +120,7 @@ def test_two_equivalent_sym_vs_two_transitive_subgroup():
 
     g = AbelianGroup([3, 3])
     trans = right_translations(g).generators
-    lin = [np.array(f.table) for f in automorphisms(g)]
+    lin = list(automorphisms(g))
     agl = PermGroup(trans + lin, 9)
     assert agl.order() == 9 * 48
     s9 = symmetric_group(9)

@@ -55,7 +55,7 @@ def _oracle_cyclotomic_partition_orbits(group):
     """Every relabeling orbit applies all of Aut(G); every join runs
     union-find on the edges of both partitions."""
     n = group.size
-    tables = [f.table for f in automorphisms(group)]
+    tables = automorphisms(group).tolist()
     cyclic = list(dict.fromkeys(_union_find_labels(n, ((i, t[i]) for i in range(n))) for t in tables))
     known, reps, queue = set(), [], []
 
