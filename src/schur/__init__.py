@@ -72,4 +72,5 @@ __all__ = [
     "table1",
     "tensor",
     "validate",
+    "wreath",
 ]

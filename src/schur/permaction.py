@@ -197,6 +197,15 @@ class PermGroup:
         self._order = None
         self._stabilizers = {}
 
+    @classmethod
+    def from_distinct(cls, generators, degree):
+        """The group on `generators`, int64 image arrays of length `degree`
+        that the caller knows to be distinct and not the identity; they are
+        kept as given, unchecked."""
+        group = cls([], degree)
+        group.generators = list(generators)
+        return group
+
     def chain(self):
         if self._chain is None:
             self._chain = _build_chain(self.generators, self.degree, 0)
@@ -340,7 +349,7 @@ def orbit_labels(tables, n):
 def _roots(labels):
     while True:
         jumped = labels[labels]
-        if np.array_equal(jumped, labels):
+        if jumped.tobytes() == labels.tobytes():
             return labels
         labels = jumped
 

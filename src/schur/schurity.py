@@ -12,6 +12,16 @@ level collapses and the search descends straight into the stabilizer of e.
 Generators found along the way prune sibling branches via orbit
 computations; the result is deterministic as a set of generators.
 
+The input must be an S-ring, as every `SRing` is, and the search reads its
+first two levels off that.  The root needs no work: the translations make
+the scheme vertex-transitive, so the unit partition is already stable and
+the orbit of e is all of G, of size n, with no orbit search.  Below it, the
+partition with e individualized refines to the class partition (e, then
+the classes in colour order), because the S-ring axiom makes that
+partition equitable: the number of y in a class D with colour k from x, for
+x in a class C, is a structure constant.  So that step is one stable sort
+of the colour column of e (`_class_partition`), with no splitter queue.
+
 Each ordered partition is held as two arrays for the whole search, the
 vertices in cell order and the start of each position's cell, and is
 refined against a queue of splitter cells (McKay and Piperno 2014).
@@ -19,7 +29,8 @@ Individualizing v in a stable partition queues only the singleton {v}:
 the rest of v's old cell needs no turn, by Hopcroft's rule.  A singleton
 splitter costs one column of the colour matrix, and nothing more when that
 column splits no cell.  `node_budget` still counts one refinement per
-individualized vertex, however many splitters it takes.
+individualized vertex, however many splitters it takes, and counts
+individualizing e as one node, though it takes none.
 
 The first path (always the first vertex of the branch cell) is refined
 once: `build` records each of its steps, and `find_one`, which looks for an
@@ -88,19 +99,19 @@ def _refine(m, rank, lab, start, queue):
     `queue` lists the starts of the cells to refine against (splitters).
     A cell may be left out when the partition is stable against it, or
     against its union with queued cells: the search individualizes v in a
-    stable partition and queues only {v}, and the unit partition queues
-    its one cell.  Returns new arrays (lab, start) and the trace; the
-    inputs are not modified.
+    stable partition and queues only {v}.  Returns new arrays (lab, start)
+    and the trace; the inputs are not modified.
 
-    Splitters are taken first in, first out.  A splitter S gives each
-    position a key: for S = {v}, the colour m[x, v]; otherwise x's count
-    of each colour into S, from one bincount.  When the key is constant on
-    every cell, nothing splits; otherwise one stable sort on (cell start,
-    key) splits each cell into fragments ordered by key, each still
-    ascending.  Every new fragment is queued.  The fragment that keeps its
-    parent's start is queued only if the parent was, since it already is
-    then (Hopcroft's rule: counts into it are the counts into the parent
-    minus those into the other fragments).
+    Splitters are taken first in, first out.  A splitter S at start s is a
+    singleton when s is the last position or the next position starts a
+    cell of its own.  S gives each position a key: for S = {v}, the colour
+    m[x, v]; otherwise x's count of each colour into S, from one bincount.
+    When the key is constant on every cell, nothing splits; otherwise one
+    stable sort on (cell start, key) splits each cell into fragments
+    ordered by key, each still ascending.  Every new fragment is queued.
+    The fragment that keeps its parent's start is queued only if the
+    parent was, since it already is then (Hopcroft's rule: counts into it
+    are the counts into the parent minus those into the other fragments).
 
     The trace holds, per splitter, its start, a hash of the keys in sorted
     order and a hash of the new cell starts.  All three are read off
@@ -113,20 +124,22 @@ def _refine(m, rank, lab, start, queue):
     queue = deque(queue)
     while queue:
         s = queue.popleft()
-        e = _cell_end(start, s)
-        if e - s == 1:
+        if s + 1 == n or start[s + 1] != s:
             key = m[lab, lab[s]]
-            if (key == key[start]).all():
-                trace.append((s, hash(key.tobytes())))
+            keys = key.tobytes()
+            if keys == key[start].tobytes():
+                trace.append((s, hash(keys)))
                 continue
             order = np.argsort(start * rank + key, kind="stable")
             key = key[order]
             new = key[1:] != key[:-1]
         else:
+            e = _cell_end(start, s)
             rows = m[lab[:, None], lab[s:e]] + (np.arange(n) * rank)[:, None]
             key = np.bincount(rows.ravel(), minlength=n * rank).reshape(n, rank)
-            if (key == key[start]).all():
-                trace.append((s, hash(key.tobytes())))
+            keys = key.tobytes()
+            if keys == key[start].tobytes():
+                trace.append((s, hash(keys)))
                 continue
             order = np.lexsort(np.vstack([key.T[::-1], start]))
             key = key[order]
@@ -162,6 +175,23 @@ def _branch_index(start):
     return -1 if sizes[s] > len(start) else s
 
 
+def _class_partition(m):
+    """The (lab, start) that `_refine` gives for ({e}, G - e): e, then the
+    cells of column e in colour order, each ascending.
+
+    The splitter {e} keys x by m[x, e], the class of x^-1, so its cells are
+    the classes, and no later splitter splits them, since the class
+    partition is equitable (see the module docstring)."""
+    n = len(m)
+    lab = np.argsort(m[:, 0], kind="stable")
+    colour = m[lab, 0]
+    start = np.zeros(n, dtype=np.int64)
+    heads = np.flatnonzero(colour[1:] != colour[:-1]) + 1
+    start[heads] = heads
+    np.maximum.accumulate(start, out=start)
+    return lab, start
+
+
 # -- the search ---------------------------------------------------------------
 
 
@@ -173,10 +203,17 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
     Either way the returned group already knows its order and its stabilizer
     of e: n! and Sym(n-1), or read off the search (see the module docstring).
 
+    `ring` must be an S-ring, as every `SRing` is.  Then the root needs no
+    refinement and no orbit search: the translations make the scheme
+    vertex-transitive, so the unit partition is stable and the orbit of e
+    is all of G.  The first path starts by individualizing e, and that
+    refines to the class partition (`_class_partition`), which the S-ring
+    axiom makes equitable.
+
     `node_budget` counts refinements: each individualized vertex, on the
-    first path or a candidate path, is one node, and the first path is
-    refined only once.  Candidate paths stop where the positional map
-    already is an automorphism (see the module docstring), so the same
+    first path or a candidate path, is one node, e included, and the first
+    path is refined only once.  Candidate paths stop where the positional
+    map already is an automorphism (see the module docstring), so the same
     budget reaches further into the search than a leaf-only test would.
 
     Counters are added into `stats` in place, if given: `nodes`
@@ -193,28 +230,33 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
         _add_stats(stats, 0, len(aut.generators), 0)
         return aut
     m = scheme_matrix(ring)
+    m_bytes = m.tobytes()
     rank = ring.rank
-    gens = list(pa.right_translations(g).generators)
-    translations = len(gens)
+    translations = [g.mul_table[:, c].copy() for c in g.canonical_generators()]
+    # the generators found by the search, each fixing e
+    gens = []
     nodes = 0
     # first-path steps (branch cell start, vertex, refined lab, trace), by depth
     path = []
 
-    def ind_ref(lab, start, s, v):
+    def count_node():
         nonlocal nodes
         if nodes == node_budget:
             raise BudgetExceeded(
                 "automorphism search exceeded its node budget after %d nodes, "
-                "%d generators found" % (nodes, len(gens))
+                "%d generators found" % (nodes, len(translations) + len(gens))
             )
         nodes += 1
+
+    def ind_ref(lab, start, s, v):
+        count_node()
         return _refine(m, rank, *_individualize(lab, start, s, v), [s])
 
     def positional_aut(lab1, lab2):
         """The map lab1[i] -> lab2[i] if it preserves colours, else None."""
         f = np.empty(n, dtype=np.int64)
         f[lab1] = lab2
-        if np.array_equal(m[np.ix_(f, f)], m):
+        if m[f][:, f].tobytes() == m_bytes:
             return f
         return None
 
@@ -252,12 +294,9 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
         labv, startv, fv = ind_ref(lab, start, s, v)
         path.append((s, v, labv, fv))
         below = build(labv, startv)
-        # The generators that fix the path so far.  `build` recurses only
-        # along the first path, so each generator beyond the translations
-        # was found at this depth or deeper and fixes the path prefix; a
-        # nontrivial translation fixes no point, so only the root keeps them.
-        fixing = gens[translations if depth else 0:]
-        orb = pa.orbit_of(fixing, v)
+        # `build` recurses only along the first path, so every generator was
+        # found at this depth or deeper and fixes the path prefix
+        orb = pa.orbit_of(gens, v)
         for w in cell[1:]:
             if w in orb:
                 continue
@@ -267,24 +306,27 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
             r = find_one(depth + 1, labw, startw)
             if r is not None:
                 gens.append(r)
-                fixing.append(r)
                 # orb is closed under the old generators: only r's images
                 # of it, and what they reach, can be new
-                pa.extend_orbit(orb, fixing, r[list(orb)].tolist())
+                pa.extend_orbit(orb, gens, r[list(orb)].tolist())
         return len(orb) * below
 
-    # The translations make the scheme vertex-transitive, so the unit
-    # partition is already stable and the first path starts at e.
-    lab0, start0, _ = _refine(
-        m, rank, np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64), [0]
-    )
     try:
-        order = build(lab0, start0)
+        # The root: the unit partition is stable and the orbit of e is G.
+        # Individualizing e is one node; no sibling of e is ever refined, so
+        # its trace is never compared.
+        count_node()
+        lab1, start1 = _class_partition(m)
+        path.append((0, 0, lab1, None))
+        order = n * build(lab1, start1)
     finally:
-        _add_stats(stats, nodes, len(gens), len(path))
-    aut = pa.PermGroup(gens, n)
-    stab = pa.PermGroup(gens[translations:], n)
+        _add_stats(stats, nodes, len(translations) + len(gens), len(path))
+    # The search's generators are distinct and move some point, since each
+    # maps its branch vertex outside the orbit found so far; a translation
+    # other than the identity fixes no point.
+    stab = pa.PermGroup.from_distinct(gens, n)
     stab._order = order // n
+    aut = pa.PermGroup.from_distinct(translations + gens, n)
     aut._order = order
     aut._stabilizers[0] = stab
     return aut

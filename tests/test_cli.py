@@ -41,6 +41,13 @@ def test_public_api_names_resolve():
     assert not any(hasattr(schur, name) for name in removed)
 
 
+def test_star_import_binds_both_products():
+    namespace = {}
+    exec("from schur import *", namespace)
+    assert namespace["tensor"] is schur.tensor
+    assert namespace["wreath"] is schur.wreath
+
+
 def test_enumerate_writes_header_and_rings(tmp_path):
     out = tmp_path / "rings.json"
     proc = run_cli(["enumerate", "--group", "3,3", "-o", str(out), "--jobs", "1"])

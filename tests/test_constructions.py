@@ -5,7 +5,6 @@ import pytest
 
 from schur import (
     AbelianGroup,
-    CatalogSizeMismatch,
     automorphisms,
     cyclotomic,
     gw_sections,
@@ -18,7 +17,7 @@ from schur import (
     wreath,
 )
 from schur.constructions import CATALOG_SIZES, catalog_maps
-from schur.group import full_subgroup, map_closure, subgroup, trivial_subgroup
+from schur.group import full_subgroup, map_closure, subgroup
 
 from conftest import rings_over, scan_isomorphism
 

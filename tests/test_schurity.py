@@ -20,7 +20,7 @@ from schur import (
     validate,
     wreath,
 )
-from schur.group import full_subgroup, subgroup
+from schur.group import subgroup
 from schur.schurity import scheme_matrix
 from schur.verify import cyclotomic_partition_orbits, labels_to_classes
 
@@ -170,6 +170,14 @@ def test_search_counts_regression(rings_z3z9):
         assert stats["depth"] == 54
 
 
+def test_search_counts_regression_z5z5():
+    # Z5xZ5 is 458 of the 535 rings of the schurity-81 benchmark
+    stats = {}
+    nonschurian = sum(not is_schurian(ring, stats=stats) for ring in rings_over(5, 5))
+    assert stats == {"nodes": 4173, "generators": 2446, "depth": 1915}
+    assert nonschurian == 125
+
+
 def test_every_generator_is_a_colour_automorphism(rings_z3z9):
     # the search may return a map found above a leaf; check each generator
     # against a colour matrix built after the search, and check that every
@@ -240,24 +248,36 @@ def _same_partition(lab, start, cell_id):
 
 def _refinements(ring):
     """(m, rank, lab, start, queue, result) of every `_refine` call made by
-    `is_schurian(ring)`, and its report."""
+    `is_schurian(ring)`; (m, result) of each `_class_partition` call, which
+    stands for refining the partition with e individualized; and the
+    report."""
     calls = []
+    first = []
     refine = schurity._refine
+    class_partition = schurity._class_partition
 
     def recorder(m, rank, lab, start, queue):
         out = refine(m, rank, lab, start, queue)
         calls.append((m, rank, lab, start, list(queue), out))
         return out
 
+    def first_recorder(m):
+        out = class_partition(m)
+        first.append((m, out))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schurity, "_refine", recorder)
+        mp.setattr(schurity, "_class_partition", first_recorder)
         rep = is_schurian(ring)
-    return calls, rep
+    return calls, first, rep
 
 
 def test_refinement_matches_round_based_oracle(rings_z3z9):
     # the splitter queue must reach the coarsest equitable refinement, as
-    # the round-based oracle does, on every partition the search refines
+    # the round-based oracle does, on every partition the search refines;
+    # so must the class partition that stands for refining ({e}, G - e),
+    # and it must equal that refinement, cell order included
     g81, reps = _z3z27_cyclotomic_reps()
     rings = list(rings_z3z9)
     rings += [validate(g81, labels_to_classes(lbl)) for lbl in reps]
@@ -265,11 +285,21 @@ def test_refinement_matches_round_based_oracle(rings_z3z9):
     nonschurian = {}
     checked = 0
     for ring in rings:
-        calls, rep = _refinements(ring)
+        calls, first, rep = _refinements(ring)
         orders = ring.group.orders
         nonschurian[orders] = nonschurian.get(orders, 0) + (not rep.schurian)
         for m, rank, lab, start, _, (lab2, start2, _) in calls:
             assert _same_partition(lab2, start2, _round_refine(m, rank, _cells(lab, start)))
+            checked += 1
+        for m, (lab, start) in first:
+            n = len(m)
+            cell_id = _round_refine(m, ring.rank, [np.array([0]), np.arange(1, n)])
+            assert _same_partition(lab, start, cell_id)
+            unit = np.arange(n), np.zeros(n, dtype=np.int64)
+            lab1, start1, _ = schurity._refine(
+                m, ring.rank, *schurity._individualize(*unit, 0, 0), [0]
+            )
+            assert np.array_equal(lab, lab1) and np.array_equal(start, start1)
             checked += 1
     assert nonschurian == {(3, 9): 0, (3, 27): 0, (5, 5): 125, (4, 4): 84, (2, 8): 0}
     assert checked > 20000
@@ -284,7 +314,7 @@ def test_refinement_is_equivariant():
     rng = random.Random(5)
     checked = 0
     for ring in rings:
-        calls, rep = _refinements(ring)
+        calls, _, rep = _refinements(ring)
         stab = [np.asarray(p) for p in rep.aut.point_stabilizer(0).generators]
         if not stab:
             continue
