@@ -4,14 +4,11 @@ enumeration, and schurity testing."""
 from .errors import BudgetExceeded, CapExceeded, GroupMismatch
 from .group import (
     AbelianGroup,
-    Subgroup,
     automorphisms,
     map_from_generator_images,
-    subgroup,
     subgroups,
 )
 from .sring import (
-    SectionRef,
     SRing,
     SRingViolation,
     canonical_c1,
@@ -49,8 +46,6 @@ __all__ = [
     "PermGroup",
     "SRing",
     "SRingViolation",
-    "SectionRef",
-    "Subgroup",
     "automorphisms",
     "canonical_c1",
     "classify_up_to_cayley",
@@ -66,7 +61,6 @@ __all__ = [
     "radical",
     "right_translations",
     "scheme_automorphisms",
-    "subgroup",
     "subgroups",
     "symmetric_group",
     "table1",

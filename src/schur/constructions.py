@@ -35,7 +35,7 @@ def cyclotomic(group, maps):
             or not np.array_equal(t[mul], mul[np.ix_(t, t)])
         ):
             raise ValueError("cyclotomic construction requires automorphisms of G")
-    return sr.validate(group, pa.PermGroup(tables, group.size).orbits())
+    return sr.validate(group, pa.blocks(pa.orbit_labels(tables, group.size)))
 
 
 def tensor(a, b):
@@ -64,37 +64,30 @@ def wreath(a, b):
 
 def is_generalized_wreath(ring, upper, lower):
     """True iff every basic set X outside U is a union of L-cosets, i.e.
-    L <= rad(X)."""
-    if not (ring.is_a_set(upper.members) and ring.is_a_set(lower.members)):
+    L <= rad(X); U and L are the rows of A-subgroups with L <= U."""
+    if not ring.is_class_constant(np.array([upper, lower])).all():
         raise ValueError("U and L must be A-subgroups")
-    if not lower.members <= upper.members:
+    if (lower & ~upper).any():
         raise ValueError("need L <= U")
     # U is an A-set, so a class lies outside U iff its least member does
-    g = ring.group
-    inside = sr.indicator(g, upper.members)
-    larr = np.array(lower.sorted_members(), dtype=np.int64)
     return all(
-        sr.radical_row(g, row)[larr].all()
+        sr.radical_row(ring.group, row)[lower].all()
         for row, arr in zip(ring.class_rows, ring.class_arrays)
-        if not inside[arr[0]]
+        if not upper[arr[0]]
     )
 
 
 def gw_sections(ring):
-    """All proper U/L-wreath decompositions (L != 1, U != G)."""
+    """All proper U/L-wreath decompositions (L != 1, U != G), as (upper,
+    lower) pairs of A-subgroup rows, in `a_subgroups` order of L, then U."""
     subs = ring.a_subgroups()
-    out = []
-    for lower in subs:
-        if lower.order == 1:
-            continue
-        for upper in subs:
-            if upper.order == ring.group.size:
-                continue
-            if not lower.members <= upper.members:
-                continue
-            if is_generalized_wreath(ring, upper, lower):
-                out.append(sr.SectionRef(upper, lower))
-    return out
+    orders = subs.sum(1)
+    return [
+        (upper, lower)
+        for lower in subs[orders > 1]
+        for upper in subs[orders < ring.group.size]
+        if not (lower & ~upper).any() and is_generalized_wreath(ring, upper, lower)
+    ]
 
 
 # -- catalog of trivial-radical cyclotomic rings over Z3 x Z3^n ---------------

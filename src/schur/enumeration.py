@@ -408,14 +408,12 @@ def classify_up_to_cayley(rings, maps=None):
 FILTERS = {
     "regular": lambda r: r.is_regular(),
     "nonregular": lambda r: not r.is_regular(),
-    "trivial-radical": lambda r: r.ring_radical().order == 1,
-    "nontrivial-radical": lambda r: r.ring_radical().order > 1,
+    "trivial-radical": lambda r: r.ring_radical().sum() == 1,
+    "nontrivial-radical": lambda r: r.ring_radical().sum() > 1,
     "rational": lambda r: r.is_rational(),
     "quasi-thin": lambda r: r.is_quasi_thin(),
     "primitive": lambda r: r.is_primitive(),
-    "has-c1": lambda r: r.is_a_set(
-        sr.generated(r.group, [sr.canonical_c1(r.group)]).members
-    ),
+    "has-c1": lambda r: r.is_class_constant(sr.generated(r.group, [sr.canonical_c1(r.group)])),
 }
 
 

@@ -6,6 +6,10 @@ lexicographic order of their residue tuples.  Every derived structure in
 this package (subgroups, partitions, permutations) works on canonical
 indices; tuples appear only at API boundaries and in JSON.
 
+A subgroup of G is its indicator row, a bool array of length |G|, and its
+order is `row.sum()`.  `subgroups(G)` is one (k, |G|) array of such rows,
+and `closure(G, seeds)` is the row of the subgroup that the seeds generate.
+
 A map of G to itself is its image table, an int64 array t with t[i] the
 index of the image of element i.  `automorphisms(G)` is one (|Aut|, |G|)
 array of such tables, and a group of maps is given by a few of its rows
@@ -22,7 +26,6 @@ restrictions and quotients of S-rings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -129,58 +132,13 @@ class AbelianGroup:
         return "AbelianGroup(%s)" % list(self.orders)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    group: AbelianGroup
-    members: frozenset
-
-    @property
-    def order(self):
-        return len(self.members)
-
-    def sorted_members(self):
-        return tuple(sorted(self.members))
-
-    def member_tuples(self):
-        return [self.group.elements[i] for i in self.sorted_members()]
-
-    def __contains__(self, i):
-        return i in self.members
-
-    def __le__(self, other):
-        return self.members <= other.members
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.group.orders == other.group.orders
-            and self.members == other.members
-        )
-
-    def __hash__(self):
-        return hash((self.group.orders, self.members))
-
-    def __repr__(self):
-        return "Subgroup(order=%d, members=%s)" % (self.order, self.member_tuples())
-
-
 def closure(group, seeds):
-    """Member indices of the subgroup generated by the given indices: the
-    orbit of e under translation by the seeds (seeds of finite order
+    """The indicator row of the subgroup generated by the given indices:
+    the orbit of e under translation by the seeds (seeds of finite order
     generate their inverses, so the one-sided orbit is enough)."""
-    return frozenset(pa.orbit_of(group.mul_table[[int(s) for s in seeds]], 0))
-
-
-def subgroup(group, generator_indices):
-    return Subgroup(group, closure(group, generator_indices))
-
-
-def trivial_subgroup(group):
-    return Subgroup(group, frozenset([0]))
-
-
-def full_subgroup(group):
-    return Subgroup(group, frozenset(range(group.size)))
+    row = np.zeros(group.size, dtype=bool)
+    row[list(pa.orbit_of(group.mul_table[[int(s) for s in seeds]], 0))] = True
+    return row
 
 
 def map_from_generator_images(group, images):
@@ -323,10 +281,15 @@ def subgroup_sets(table):
 
 
 def subgroups(group):
-    """All subgroups, sorted by (order, member list)."""
+    """All subgroups as one (k, |G|) array of indicator rows, sorted by
+    (order, member list)."""
     if group.size > DEFAULT_ORDER_CAP:
         raise CapExceeded("group order %d exceeds cap %d" % (group.size, DEFAULT_ORDER_CAP))
-    return [Subgroup(group, frozenset(s)) for s in subgroup_sets(group.mul_table)]
+    sets = subgroup_sets(group.mul_table)
+    rows = np.zeros((len(sets), group.size), dtype=bool)
+    for row, members in zip(rows, sets):
+        row[list(members)] = True
+    return rows
 
 
 def _cyclic_form(table):
@@ -361,19 +324,18 @@ def section(group, upper, lower):
     pi maps each member of U to its Q-index, a surjective homomorphism
     U -> Q with kernel exactly L.
 
-    U and L are member-index sets of subgroups with L <= U.  The cosets are
+    U and L are the indicator rows of subgroups with L <= U.  The cosets are
     named by their least members, and the coset table of U/L is indexed by
     the sorted coset minima, so the identity coset is 0.  Q's factors are
     read off that table by `_cyclic_form`.
     """
-    upper, lower = frozenset(upper), frozenset(lower)
-    if not (_is_subgroup_set(group, upper) and _is_subgroup_set(group, lower)):
-        raise ValueError("member set is not a subgroup")
-    if not lower <= upper:
+    if not (_is_subgroup_row(group, upper) and _is_subgroup_row(group, lower)):
+        raise ValueError("row is not a subgroup")
+    if (lower & ~upper).any():
         raise ValueError("section requires L <= U")
     mul = group.mul_table
-    coset = mul[:, sorted(lower)].min(axis=1)
-    u = np.array(sorted(upper), dtype=np.int64)
+    coset = mul[:, np.flatnonzero(lower)].min(axis=1)
+    u = np.flatnonzero(upper)
     reps = np.unique(coset[u])
     pos = np.zeros(group.size, dtype=np.int64)
     pos[reps] = np.arange(len(reps))
@@ -383,6 +345,6 @@ def section(group, upper, lower):
     return AbelianGroup(orders), dict(zip(u.tolist(), q_of[pos[coset[u]]].tolist()))
 
 
-def _is_subgroup_set(group, members):
-    arr = np.fromiter(members, dtype=np.int64)
-    return 0 in members and set(group.mul_table[np.ix_(arr, arr)].ravel().tolist()) <= members
+def _is_subgroup_row(group, row):
+    arr = np.flatnonzero(row)
+    return bool(row[0] and row[group.mul_table[np.ix_(arr, arr)]].all())

@@ -18,12 +18,12 @@ the tests and the benchmark's stabilizer-chain probe.
 Orbits need no chain.  A partition of 0..n-1 is a row of block-minimum
 labels; `blocks` and `block_labels` convert it to and from its blocks.
 `orbit_labels(tables, n)` is the orbit partition of points under the group
-that the tables generate.  `PermGroup.orbits()`, the enumeration's
-root-orbit split and the cyclic partitions in `verify` use it.  The one
-partition-orbit kernel is `partition_orbits(rows, tables)`, a breadth-first
-closure of a set of partitions with one image function, `_relabel`; its
-callers are `sring.orbit_keys` (the enumeration closure,
-`classify_up_to_cayley` and catalog matching in `verify`) and
+that the tables generate.  `PermGroup.orbits()`, `constructions.cyclotomic`,
+the enumeration's root-orbit split and the cyclic partitions in `verify`
+use it.  The one partition-orbit kernel is `partition_orbits(rows,
+tables)`, a breadth-first closure of a set of partitions with one image
+function, `_relabel`; its callers are `sring.orbit_keys` (the enumeration
+closure, `classify_up_to_cayley` and catalog matching in `verify`) and
 `verify.cyclotomic_partition_orbits`.  `orbit_of` is the search for the
 orbit of one point, and `extend_orbit` grows an orbit when a generator is
 added.
@@ -246,9 +246,6 @@ class PermGroup:
     def orbits(self):
         """Orbit partition on the domain, sorted."""
         return blocks(orbit_labels(self.generators, self.degree))
-
-    def orbit(self, point):
-        return frozenset(orbit_of(self.generators, point))
 
     def has_faithful_regular_orbit(self):
         """True iff some orbit has size equal to the group order.

@@ -66,9 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions as cons
-from . import group as grp
 from . import permaction as pa
-from . import sring as sr
 from .errors import BudgetExceeded
 
 DEFAULT_NODE_BUDGET = 500_000
@@ -394,9 +392,10 @@ def is_schurian(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
     )
 
 
-@dataclass
+@dataclass(eq=False)  # the rows are arrays, which have no single truth value
 class GeneralizedWreathReport:
-    section: "sr.SectionRef"
+    upper: np.ndarray
+    lower: np.ndarray
     is_generalized_wreath: bool
     upper_schurian: bool
     quotient_schurian: bool
@@ -416,20 +415,20 @@ class GeneralizedWreathReport:
 
 def genwr_certificate(ring, upper, lower, node_budget=DEFAULT_NODE_BUDGET):
     """Evaluate the faithful-regular-orbit certificate on the section ring
-    A_{U/L} and, independently, direct schurity of A; report both."""
-    section = sr.SectionRef(upper, lower)
+    A_{U/L}, for the rows U and L of A-subgroups with L <= U, and,
+    independently, direct schurity of A; report both."""
     is_gw = cons.is_generalized_wreath(ring, upper, lower)
-    full = sr.SectionRef(upper=grp.full_subgroup(ring.group), lower=lower)
     a_u = ring.restrict(upper)
-    a_gl = ring.quotient_ring(full)
-    a_ul = ring.quotient_ring(section)
+    a_gl = ring.quotient_ring(np.ones(ring.group.size, dtype=bool), lower)
+    a_ul = ring.quotient_ring(upper, lower)
     upper_rep = is_schurian(a_u, node_budget)
     quot_rep = is_schurian(a_gl, node_budget)
     aut_ul = scheme_automorphisms(a_ul, node_budget)
     regorb = aut_ul.point_stabilizer(0).has_faithful_regular_orbit()
     direct = is_schurian(ring, node_budget)
     return GeneralizedWreathReport(
-        section=section,
+        upper=upper,
+        lower=lower,
         is_generalized_wreath=is_gw,
         upper_schurian=upper_rep.schurian,
         quotient_schurian=quot_rep.schurian,

@@ -11,21 +11,24 @@ Products of class sums in the integer group ring ZG come from one kernel,
 `class_products`, exact in int64; `validate`, `SRing.product_vector` and
 the enumeration search's partial module closure call it.
 
+A subset X of G is a boolean indicator row over canonical indices, and
+a batch of k subsets is a (k, |G|) array.  A subgroup is the row of its
+members, and its order is `row.sum()`: `a_subgroups` (one array of rows),
+`ring_radical`, `radical` and `generated` return rows, and `restrict` and
+`quotient_ring` take them.  Functions of an arbitrary set of elements
+(`is_a_set`, `indicator`, `radical`, `generated`) take indices or residues.
+
 Restrictions A_U and quotients A_{U/L} live on `group.section(G, U, L)`,
 which gives the section in canonical cyclic form and the map from U onto
 it; the images of the classes inside U are validated there.
 
-A subset X of G is a boolean indicator row over canonical indices, and
-a batch of k subsets is a (k, |G|) array.  The A-set predicates and the
-§2-§3 set operations rest on three kernels:
+The A-set predicates and the §2-§3 set operations rest on three kernels:
 
 - class constancy: rows are A-sets iff `rows == rows[..., rep_of]`, with
   `rep_of[x]` the least member of x's class (`SRing.is_class_constant`);
 - coset counts: |X & (H + x)| at every x is `rows[..., mul_table[h]]`
   summed over H (`coset_counts`);
 - radical: rad(X) is `row[mul_table[xs]].all(0)` (`radical_row`).
-
-Frozensets and `Subgroup`s appear only at the API boundary.
 
 Cayley isomorphism is orbit membership: `orbit_keys` closes a set of ring
 keys under a group of automorphisms with the one partition-orbit kernel,
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -54,12 +56,6 @@ class SRingViolation(Exception):
         self.kind = kind
         self.detail = detail
         super().__init__("%s: %s" % (kind, detail))
-
-
-@dataclass(frozen=True)
-class SectionRef:
-    upper: grp.Subgroup
-    lower: grp.Subgroup
 
 
 class SRing:
@@ -124,23 +120,26 @@ class SRing:
         return bool(self.is_class_constant(indicator(self.group, xs)))
 
     def a_subgroups(self):
+        """The A-subgroups as rows of `group.subgroups`, in its order."""
         subs = grp.subgroups(self.group)
-        ok = self.is_class_constant(np.array([indicator(self.group, h.members) for h in subs]))
-        return [h for h, keep in zip(subs, ok) if keep]
+        return subs[self.is_class_constant(subs)]
 
     # -- restriction and quotient ------------------------------------------
 
-    def restrict(self, sub):
-        """The induced S-ring over an A-subgroup U: the section U/{e}."""
-        return self.quotient_ring(SectionRef(sub, grp.trivial_subgroup(self.group)))
+    def restrict(self, upper):
+        """The induced S-ring over the A-subgroup with row `upper`: the
+        section U/{e}."""
+        return self.quotient_ring(upper, np.arange(self.group.size) == 0)
 
-    def quotient_ring(self, section):
-        """The induced S-ring over U/L for an A-section U/L."""
-        u, l = section.upper, section.lower
-        if not (self.is_a_set(u.members) and self.is_a_set(l.members)):
+    def quotient_ring(self, upper, lower):
+        """The induced S-ring over U/L for the A-subgroup rows U and L,
+        L <= U."""
+        if not self.is_class_constant(np.array([upper, lower])).all():
             raise ValueError("not an A-section: U and L must be A-subgroups")
-        q, pi = grp.section(self.group, u.members, l.members)
-        return validate(q, {frozenset(pi[i] for i in c) for c in self.classes if c <= u.members})
+        q, pi = grp.section(self.group, upper, lower)
+        # U is an A-set, so a class lies in U iff its least member does
+        inside = (c for c, arr in zip(self.classes, self.class_arrays) if upper[arr[0]])
+        return validate(q, {frozenset(pi[i] for i in c) for c in inside})
 
     # -- rationality and power maps ------------------------------------------
 
@@ -169,9 +168,8 @@ class SRing:
     # -- classification predicates ------------------------------------------
 
     def is_primitive(self):
-        return all(
-            h.order in (1, self.group.size) for h in self.a_subgroups()
-        )
+        orders = self.a_subgroups().sum(1)
+        return bool(((orders == 1) | (orders == self.group.size)).all())
 
     def is_quasi_thin(self):
         return all(len(c) <= 2 for c in self.classes)
@@ -198,13 +196,14 @@ class SRing:
         )
 
     def ring_radical(self):
-        """Subgroup generated by the radicals of the highest basic sets."""
+        """The row of the subgroup generated by the radicals of the highest
+        basic sets."""
         _require_3_family(self.group)
         gens = np.zeros(self.group.size, dtype=bool)
         for c, row in zip(self.classes, self.class_rows):
             if self.is_highest(c):
                 gens |= radical_row(self.group, row)
-        return grp.subgroup(self.group, np.flatnonzero(gens).tolist())
+        return grp.closure(self.group, np.flatnonzero(gens))
 
     # -- serialization --------------------------------------------------------
 
@@ -378,19 +377,19 @@ def multiplier_maps(group):
 
 
 def radical(group, xs):
-    """rad(X) = {g : Xg = X}; the translation stabilizer of X."""
+    """The row of rad(X) = {g : Xg = X}, the translation stabilizer of X."""
     row = indicator(group, xs)
     if not row.any():
         raise ValueError("radical of the empty set is undefined")
-    return grp.Subgroup(group, frozenset(np.flatnonzero(radical_row(group, row)).tolist()))
+    return radical_row(group, row)
 
 
 def generated(group, xs):
-    """The subgroup <X>."""
+    """The row of the subgroup <X>."""
     xs = group.indices(xs)
     if not xs:
         raise ValueError("closure of the empty set is undefined")
-    return grp.subgroup(group, xs)
+    return grp.closure(group, xs)
 
 
 def _require_3_family(group):

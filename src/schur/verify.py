@@ -134,7 +134,7 @@ def e_c1_catalog():
 
 def c1_preserving_automorphisms(group):
     """The rows of `group.automorphisms` that map C1 onto itself."""
-    c1 = sr.generated(group, [sr.canonical_c1(group)]).sorted_members()
+    c1 = np.flatnonzero(sr.generated(group, [sr.canonical_c1(group)]))
     auts = grp.automorphisms(group)
     return auts[np.isin(auts[:, c1], c1).all(axis=1)]
 
@@ -142,19 +142,21 @@ def c1_preserving_automorphisms(group):
 # -- structural checks shared by claims and tests ------------------------------
 
 
+def _member_tuples(group, row):
+    """The residue tuples of the members of an indicator row, for messages."""
+    return [group.elements[i] for i in np.flatnonzero(row)]
+
+
 def tensor_decomposes_with_rank2_factor(ring):
     """A = A_H (x) A_L with rk(A_H) = 2 and |L| <= 3 <= |H|."""
     g = ring.group
     subs = ring.a_subgroups()
-    for h in subs:
-        if not 3 <= h.order:
-            continue
-        for l in subs:
-            if l.order > 3 or h.order * l.order != g.size:
+    orders = subs.sum(1)
+    for h in subs[orders >= 3]:
+        for l in subs[orders <= 3]:
+            if h.sum() * l.sum() != g.size or (h & l).sum() != 1:  # G = H x L
                 continue
-            if h.members & l.members != {0}:
-                continue
-            harr, larr = np.array(h.sorted_members()), np.array(l.sorted_members())
+            harr, larr = np.flatnonzero(h), np.flatnonzero(l)
             if len(np.unique(ring.class_of[harr])) != 2:  # the rank of A_H
                 continue
             # G = H x L; label a + b by the classes of a and b.  The products
@@ -170,11 +172,10 @@ def tensor_decomposes_with_rank2_factor(ring):
 def wreath_section_trichotomy(ring):
     """Some proper U/L-wreath section has |U/L| in {1, 3}, or has |L| = 3
     with the restriction to U having trivial radical."""
-    for sec in cons.gw_sections(ring):
-        q = sec.upper.order // sec.lower.order
-        if q in (1, 3):
+    for upper, lower in cons.gw_sections(ring):
+        if upper.sum() // lower.sum() in (1, 3):
             return True
-        if sec.lower.order == 3 and ring.restrict(sec.upper).ring_radical().order == 1:
+        if lower.sum() == 3 and ring.restrict(upper).ring_radical().sum() == 1:
             return True
     return False
 
@@ -280,12 +281,8 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
 
     def claim_e_c1_classes():
         e = grp.AbelianGroup([3, 3])
-        rings = enumerate_srings(e)
-        withc1 = [
-            r
-            for r in rings
-            if r.is_a_set(sr.generated(e, [sr.canonical_c1(e)]).members)
-        ]
+        c1 = sr.generated(e, [sr.canonical_c1(e)])
+        withc1 = [r for r in enumerate_srings(e) if r.is_class_constant(c1)]
         maps = c1_preserving_automorphisms(e)
         classes = classify_up_to_cayley(withc1, maps=maps)
         assert len(classes) == 9, "expected 9 classes, got %d" % len(classes)
@@ -300,7 +297,7 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
         for row in range(10):
             ring = cons.table1(row, n)  # raises on size mismatch
             assert ring.is_regular(), "row %d not regular" % row
-            assert ring.ring_radical().order == 1, "row %d has nontrivial radical" % row
+            assert ring.ring_radical().sum() == 1, "row %d has nontrivial radical" % row
             assert sch.is_schurian(ring).schurian, "row %d not schurian" % row
         return "sizes %s verified; rings regular, trivial-radical, schurian" % (
             cons.CATALOG_SIZES,
@@ -308,7 +305,7 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
 
     def claim_regular_classification():
         rings = state["rings"]
-        reg = [r for r in rings if r.is_regular() and r.ring_radical().order == 1]
+        reg = [r for r in rings if r.is_regular() and r.ring_radical().sum() == 1]
         keys = catalog_keys(n)
         for ring in reg:
             assert ring.canonical_key() in keys, (
@@ -319,7 +316,7 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
     def claim_nonregular_tensor():
         rings = state["rings"]
         nonreg = [
-            r for r in rings if not r.is_regular() and r.ring_radical().order == 1
+            r for r in rings if not r.is_regular() and r.ring_radical().sum() == 1
         ]
         for ring in nonreg:
             assert tensor_decomposes_with_rank2_factor(ring), (
@@ -330,7 +327,7 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
 
     def claim_nontrivial_radical():
         rings = state["rings"]
-        wild = [r for r in rings if r.ring_radical().order > 1]
+        wild = [r for r in rings if r.ring_radical().sum() > 1]
         for ring in wild:
             assert wreath_section_trichotomy(ring), (
                 "no admissible wreath section: %s" % ring.to_json()
@@ -338,18 +335,17 @@ def run_claims(n, time_limit=None, jobs=1, progress=None):
         return "%d nontrivial-radical rings admit sections" % len(wild)
 
     def claim_section_regular_orbits():
-        full = grp.full_subgroup(d)
+        full = np.ones(d.size, dtype=bool)
         count = 0
         for row in range(6):
             ring = cons.table1(row, n)
-            for low in ring.a_subgroups():
-                if low.order != 3:
-                    continue
-                quot = ring.quotient_ring(sr.SectionRef(full, low))
+            subs = ring.a_subgroups()
+            for low in subs[subs.sum(1) == 3]:
+                quot = ring.quotient_ring(full, low)
                 aut = sch.scheme_automorphisms(quot)
                 stab = aut.point_stabilizer(0)
                 assert stab.has_faithful_regular_orbit(), (
-                    "no faithful regular orbit: row %d, L=%s" % (row, low)
+                    "no faithful regular orbit: row %d, L=%s" % (row, _member_tuples(d, low))
                 )
                 count += 1
         return "%d (row, L) pairs verified" % count
@@ -437,14 +433,14 @@ def check_coset_intersections(ring):
     own = (ring.class_of, np.arange(g.size))
     for h in ring.a_subgroups():
         # |C & (H + x)| for C the class of x, constant on C iff the check holds
-        meet = sr.coset_counts(g, ring.class_rows, np.array(h.sorted_members()))[own]
-        assert ring.is_class_constant(meet), h
+        meet = sr.coset_counts(g, ring.class_rows, np.flatnonzero(h))[own]
+        assert ring.is_class_constant(meet), _member_tuples(g, h)
 
 
 def check_generated_and_radical(ring):
     """<X> and rad(X) are A-subgroups for every class (hence every A-set)."""
     g = ring.group
-    gen = np.array([sr.indicator(g, sr.generated(g, c).members) for c in ring.classes])
+    gen = np.array([sr.generated(g, arr) for arr in ring.class_arrays])
     rad = np.array([sr.radical_row(g, row) for row in ring.class_rows])
     ok = ring.is_class_constant(gen) & ring.is_class_constant(rad)
     assert ok.all(), sorted(ring.classes[int(np.argmin(ok))])
@@ -484,16 +480,15 @@ def check_separating_subgroups(ring):
     g = ring.group
     rows = ring.class_rows
     for h in grp.subgroups(g):
-        inside = sr.indicator(g, h.members)
-        outside = rows & ~inside
+        outside = rows & ~h
         # H <= rad(Y) iff every H-coset that meets Y lies in Y
-        counts = sr.coset_counts(g, outside, np.array(h.sorted_members()))
-        split = (rows & inside).any(-1) & outside.any(-1) & ((counts == h.order) | ~outside).all(-1)
+        counts = sr.coset_counts(g, outside, np.flatnonzero(h))
+        split = (rows & h).any(-1) & outside.any(-1) & ((counts == h.sum()) | ~outside).all(-1)
         for ci in np.flatnonzero(split):
-            gen = sr.indicator(g, sr.generated(g, ring.classes[ci]).members)
+            gen = sr.generated(g, ring.class_arrays[ci])
             rad = sr.radical_row(g, rows[ci])
-            assert (rows[ci] == gen & ~rad).all(), (sorted(ring.classes[ci]), h)
-            assert not (rad & ~(inside & gen)).any(), (sorted(ring.classes[ci]), h)
+            ok = (rows[ci] == gen & ~rad).all() and not (rad & ~(h & gen)).any()
+            assert ok, (sorted(ring.classes[ci]), _member_tuples(g, h))
 
 
 def check_order_layer_cosets(ring):
@@ -518,11 +513,9 @@ def check_cyclic_class_shapes(ring):
     equals <X> \\ rad(X)."""
     g = ring.group
     auts = grp.automorphisms(g)
-    for c, arr in zip(ring.classes, ring.class_arrays):
+    for c, arr, row in zip(ring.classes, ring.class_arrays, ring.class_rows):
         stab = auts[np.isin(auts[:, arr], arr).all(axis=1)]
         orbit = orbit_of(stab, arr[0])
         if orbit == c:
             continue
-        gen = sr.generated(g, c).members
-        rad = sr.radical(g, c).members
-        assert c == gen - rad, sorted(c)
+        assert (row == sr.generated(g, arr) & ~sr.radical(g, arr)).all(), sorted(c)

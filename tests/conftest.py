@@ -184,10 +184,13 @@ def _torsion_cosets_and_powers(group, p):
 
 
 def oracle_is_generalized_wreath(ring, upper, lower):
-    """Every class outside U is a union of L-cosets."""
+    """Every class outside U is a union of L-cosets; U and L are given as
+    indicator rows."""
     mul = _sums(ring.group)
+    upper = {i for i, inside in enumerate(upper.tolist()) if inside}
+    lower = [i for i, inside in enumerate(lower.tolist()) if inside]
     return all(
-        frozenset(mul[l][x] for l in lower.members for x in c) == c
+        frozenset(mul[l][x] for l in lower for x in c) == c
         for c in ring.classes
-        if not c <= upper.members
+        if not c <= upper
     )

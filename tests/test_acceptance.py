@@ -5,6 +5,7 @@ Criteria 3 (n=3 part) and 10 are stretch targets behind SCHUR_STRETCH=1.
 
 import time
 
+import numpy as np
 import pytest
 
 from schur import (
@@ -19,7 +20,7 @@ from schur.enumeration import (
     classify_up_to_cayley,
     enumerate_srings,
 )
-from schur.group import full_subgroup, map_closure
+from schur.group import map_closure
 from schur.schurity import scheme_automorphisms
 from schur.verify import (
     c1_preserving_automorphisms,
@@ -68,8 +69,8 @@ def test_criterion_2_nine_classes_over_e():
     t0 = time.time()
     e = AbelianGroup([3, 3])
     rings = rings_over(3, 3)
-    c1_members = sr.generated(e, [sr.canonical_c1(e)]).members
-    withc1 = [r for r in rings if r.is_a_set(c1_members)]
+    c1 = sr.generated(e, [sr.canonical_c1(e)])
+    withc1 = [r for r in rings if r.is_class_constant(c1)]
     maps = c1_preserving_automorphisms(e)
     classes = classify_up_to_cayley(withc1, maps=maps)
     assert len(classes) == 9
@@ -132,7 +133,7 @@ def test_criterion_4_catalog_rows(n):
         assert len(map_closure(maps)) == CATALOG_SIZES[row]
         ring = table1(row, n)  # validates; raises on size mismatch
         assert ring.is_regular()
-        assert ring.ring_radical().order == 1
+        assert ring.ring_radical().sum() == 1
         assert is_schurian(ring).schurian
     _report("criterion-4 (n=%d)" % n, "all rows sized, regular, trivial-radical, schurian", t0)
 
@@ -140,7 +141,7 @@ def test_criterion_4_catalog_rows(n):
 def test_criterion_4_completeness_at_n2():
     t0 = time.time()
     rings = rings_over(3, 9)
-    reg = [r for r in rings if r.is_regular() and r.ring_radical().order == 1]
+    reg = [r for r in rings if r.is_regular() and r.ring_radical().sum() == 1]
     catalog = [table1(i, 2) for i in range(10)]
     catalog += [table1(i, 2, mirror=True) for i in range(6, 10)]
     maps = automorphisms(AbelianGroup([3, 9]))
@@ -160,7 +161,7 @@ def test_criterion_4_completeness_at_n2():
 def test_criterion_5_nonregular_tensor_decomposition():
     t0 = time.time()
     rings = rings_over(3, 9)
-    nonreg = [r for r in rings if not r.is_regular() and r.ring_radical().order == 1]
+    nonreg = [r for r in rings if not r.is_regular() and r.ring_radical().sum() == 1]
     for ring in nonreg:
         assert tensor_decomposes_with_rank2_factor(ring), ring.to_json()
     assert time.time() - t0 < 300
@@ -170,7 +171,7 @@ def test_criterion_5_nonregular_tensor_decomposition():
 def test_criterion_6_nontrivial_radical_sections():
     t0 = time.time()
     rings = rings_over(3, 9)
-    wild = [r for r in rings if r.ring_radical().order > 1]
+    wild = [r for r in rings if r.ring_radical().sum() > 1]
     for ring in wild:
         assert wreath_section_trichotomy(ring), ring.to_json()
     assert time.time() - t0 < 300
@@ -233,16 +234,15 @@ def test_criterion_8_cyclotomic_schurity_everywhere():
 def test_criterion_9_section_regular_orbits(n):
     t0 = time.time()
     d = AbelianGroup([3, 3 ** n])
-    full = full_subgroup(d)
+    full = np.ones(d.size, dtype=bool)
     pairs = 0
     for row in range(6):
         ring = table1(row, n)
-        for low in ring.a_subgroups():
-            if low.order != 3:
-                continue
-            quot = ring.quotient_ring(sr.SectionRef(full, low))
+        subs = ring.a_subgroups()
+        for low in subs[subs.sum(1) == 3]:
+            quot = ring.quotient_ring(full, low)
             stab = scheme_automorphisms(quot).point_stabilizer(0)
-            assert stab.has_faithful_regular_orbit(), (row, low)
+            assert stab.has_faithful_regular_orbit(), (row, np.flatnonzero(low).tolist())
             pairs += 1
     assert time.time() - t0 < 900
     _report("criterion-9 (n=%d)" % n, "%d (row, subgroup) pairs verified" % pairs, t0)

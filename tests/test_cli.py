@@ -36,9 +36,17 @@ def test_public_api_names_resolve():
         "enumerate_srings_brute",
         "GroupMap",
         "quotient",
+        "Subgroup",
+        "SectionRef",
+        "subgroup",
     }
     assert not removed & set(schur.__all__)
     assert not any(hasattr(schur, name) for name in removed)
+    # a subgroup is its indicator row: no wrapper class and no row builders
+    gone = {"Subgroup", "subgroup", "trivial_subgroup", "full_subgroup"}
+    assert not any(hasattr(schur.group, name) for name in gone)
+    assert not hasattr(schur.sring, "SectionRef")
+    assert not hasattr(schur.PermGroup, "orbit")
 
 
 def test_star_import_binds_both_products():

@@ -323,8 +323,8 @@ def test_census_classes_match_every_automorphism(orders):
 
 def test_c1_preserving_classes_match_every_map():
     e = AbelianGroup([3, 3])
-    c1 = sr.generated(e, [sr.canonical_c1(e)]).members
-    withc1 = [r for r in rings_over(3, 3) if r.is_a_set(c1)]
+    c1 = sr.generated(e, [sr.canonical_c1(e)])
+    withc1 = [r for r in rings_over(3, 3) if r.is_class_constant(c1)]
     maps = c1_preserving_automorphisms(e)
     classes = classify_up_to_cayley(withc1, maps=maps)
     assert len(classes) == 9

@@ -5,14 +5,7 @@ import pytest
 
 from schur import AbelianGroup, CapExceeded, automorphisms, map_from_generator_images
 from schur import group as group_module
-from schur.group import (
-    closure,
-    full_subgroup,
-    generating_subset,
-    section,
-    subgroup,
-    subgroups,
-)
+from schur.group import closure, generating_subset, section, subgroups
 from conftest import abelian_group_orders_up_to
 
 
@@ -52,7 +45,7 @@ def _oracle_subgroups(g):
     found = {frozenset([0])}
     for a in range(g.size):
         for b in range(g.size):
-            found.add(closure(g, [a, b]))
+            found.add(frozenset(np.flatnonzero(closure(g, [a, b])).tolist()))
     return found
 
 
@@ -62,9 +55,10 @@ def _oracle_subgroups(g):
 def test_subgroup_counts(orders, count):
     g = AbelianGroup(orders)
     subs = subgroups(g)
-    assert len(subs) == count
-    assert len({s.members for s in subs}) == len(subs)
-    assert {s.members for s in subs} == _oracle_subgroups(g)
+    assert subs.shape == (count, g.size) and subs.dtype == bool
+    sets = {frozenset(np.flatnonzero(s).tolist()) for s in subs}
+    assert len(sets) == len(subs)
+    assert sets == _oracle_subgroups(g)
 
 
 def test_subgroups_cap():
@@ -211,26 +205,38 @@ def test_section_matches_order_count_oracle(orders, upper_gens, expect):
     p = min(q for q in range(2, g.size + 1) if g.size % q == 0)
     if upper_gens is None:
         subs = subgroups(g)
-        pairs = [(u, low) for u in subs for low in subs if low <= u]
+        pairs = [(u, low) for u in subs for low in subs if not (low & ~u).any()]
     else:
-        pairs = [(subgroup(g, [g.index[t] for t in upper_gens]), subgroup(g, []))]
+        pairs = [(closure(g, [g.index[t] for t in upper_gens]), closure(g, []))]
     for upper, lower in pairs:
-        q, pi = section(g, upper.members, lower.members)
-        assert set(pi) == upper.members
-        assert q.size * lower.order == upper.order
+        q, pi = section(g, upper, lower)
+        u = np.flatnonzero(upper)
+        umembers, lmembers = set(u.tolist()), set(np.flatnonzero(lower).tolist())
+        assert set(pi) == umembers
+        assert q.size * len(lmembers) == len(umembers)
         assert set(pi.values()) == set(range(q.size))
-        assert {x for x, y in pi.items() if y == 0} == lower.members
-        u = np.array(upper.sorted_members())
+        assert {x for x, y in pi.items() if y == 0} == lmembers
         t = np.zeros(g.size, dtype=np.int64)
         t[u] = [pi[x] for x in u.tolist()]
         assert np.array_equal(t[g.mul_table[np.ix_(u, u)]], q.mul_table[np.ix_(t[u], t[u])])
-        assert q.orders == _type_from_order_counts(g, upper.members, lower.members, p)
+        assert q.orders == _type_from_order_counts(g, umembers, lmembers, p)
         if expect is not None:
             assert q.orders == expect
+
+
+def test_section_rejects_rows_that_are_not_a_section():
+    g = AbelianGroup([3, 9])
+    c3, s3 = closure(g, [g.index[(0, 3)]]), closure(g, [g.index[(1, 0)]])
+    with pytest.raises(ValueError, match="not a subgroup"):
+        section(g, c3 | s3, c3)  # a union of two subgroups
+    with pytest.raises(ValueError, match="not a subgroup"):
+        section(g, c3, c3 & ~(np.arange(g.size) == 0))  # e left out
+    with pytest.raises(ValueError, match="L <= U"):
+        section(g, c3, s3)
 
 
 def test_trivial_group():
     g = AbelianGroup([])
     assert g.size == 1 and g.exponent == 1
-    assert full_subgroup(g).order == 1
+    assert subgroups(g).tolist() == [[True]]
     assert automorphisms(g).tolist() == [[0]]

@@ -34,7 +34,7 @@ def test_right_translations_regular():
     g = AbelianGroup([3])
     t = right_translations(g)
     assert t.order() == 3
-    assert t.orbit(0) == frozenset(range(3))
+    assert orbit_of(t.generators, 0) == set(range(3))
     assert t.point_stabilizer(0).order() == 1
     g2 = AbelianGroup([3, 9])
     assert right_translations(g2).order() == 27

@@ -13,6 +13,7 @@ from schur import (
     PermGroup,
     automorphisms,
     cyclotomic,
+    generated,
     genwr_certificate,
     is_schurian,
     right_translations,
@@ -20,7 +21,6 @@ from schur import (
     validate,
     wreath,
 )
-from schur.group import subgroup
 from schur.schurity import scheme_matrix
 from schur.verify import cyclotomic_partition_orbits, labels_to_classes
 
@@ -453,8 +453,9 @@ def test_genwr_certificate_wreath_case():
     zg3 = validate(z3, [[t] for t in z3.elements])
     w = wreath(zg3, zg3)
     g = w.group
-    bottom = subgroup(g, [g.index[(1, 0)]])
+    bottom = generated(g, [(1, 0)])
     rep = genwr_certificate(w, bottom, bottom)  # |U/L| = 1
+    assert rep.upper is bottom and rep.lower is bottom
     assert rep.is_generalized_wreath
     assert rep.upper_schurian and rep.quotient_schurian
     assert rep.section_regular_orbit  # trivial section
@@ -466,12 +467,12 @@ def test_genwr_certificate_order3_sections(rings_z3z9):
     from schur import gw_sections
 
     random.seed(3)
-    wild = [r for r in rings_z3z9 if r.ring_radical().order > 1]
+    wild = [r for r in rings_z3z9 if r.ring_radical().sum() > 1]
     for ring in random.sample(wild, 6):
-        for sec in gw_sections(ring)[:2]:
-            if sec.upper.order // sec.lower.order not in (1, 3):
+        for upper, lower in gw_sections(ring)[:2]:
+            if upper.sum() // lower.sum() not in (1, 3):
                 continue
-            rep = genwr_certificate(ring, sec.upper, sec.lower)
+            rep = genwr_certificate(ring, upper, lower)
             assert rep.is_generalized_wreath
             assert rep.section_regular_orbit
             assert rep.schurian
