@@ -8,8 +8,9 @@ its own product rows and builds its rings directly.  Everything downstream
 assumes a certified ring.
 
 Products of class sums in the integer group ring ZG come from one kernel,
-`class_products`, exact in int64; `validate`, `SRing.product_vector` and
-the enumeration search's partial module closure call it.
+`class_products`, exact in int64; `validate`, `SRing.products` (every
+X*C for one class X, not kept) and the enumeration search's partial module
+closure call it.
 
 A subset X of G is a boolean indicator row over canonical indices, and
 a batch of k subsets is a (k, |G|) array.  A subgroup is the row of its
@@ -59,7 +60,10 @@ class SRingViolation(Exception):
 
 
 class SRing:
-    """A validated S-ring; construct via `validate` or the builders."""
+    """A validated S-ring; construct via `validate` or the builders.
+
+    It holds its partition (`classes`, `class_arrays`, `class_of`); the
+    other arrays are derived from it on first use."""
 
     def __init__(self, group, classes):
         self.group = group
@@ -68,36 +72,23 @@ class SRing:
         self.class_of = np.full(group.size, -1, dtype=np.int64)
         for ci, arr in enumerate(self.class_arrays):
             self.class_of[arr] = ci
-        self._products = {}
-        self._inverse_class = None
 
     @property
     def rank(self):
         return len(self.classes)
 
-    def product_vector(self, x, y):
-        """Coefficient vector of the product of class sums x and y."""
-        key = (min(x, y), max(x, y))  # commutative
-        v = self._products.get(key)
-        if v is None:
-            ys = self.class_arrays[y]
-            v = class_products(self.group, self.class_arrays[x], ys, np.zeros_like(ys), 1)[0]
-            self._products[key] = v
-        return v
+    def products(self, x):
+        """The (rank, |G|) block whose row c is the coefficient vector of
+        X*C_c in ZG, from one `class_products` call; it is not kept."""
+        if not 0 <= x < self.rank:
+            raise IndexError("class index out of range")
+        members = np.arange(self.group.size)
+        return class_products(self.group, self.class_arrays[x], members, self.class_of, self.rank)
 
     def structure_constant(self, x, y, z):
         if not (0 <= x < self.rank and 0 <= y < self.rank and 0 <= z < self.rank):
             raise IndexError("class index out of range")
-        return int(self.product_vector(x, y)[self.class_arrays[z][0]])
-
-    def inverse_class(self, x):
-        """Index of the class X^{-1}."""
-        if self._inverse_class is None:
-            inv = self.group.inv_table
-            self._inverse_class = tuple(
-                int(self.class_of[inv[arr[0]]]) for arr in self.class_arrays
-            )
-        return self._inverse_class[x]
+        return int(self.products(x)[y, self.class_arrays[z][0]])
 
     # -- A-sets and A-subgroups --------------------------------------------
 
@@ -105,6 +96,11 @@ class SRing:
     def rep_of(self):
         """rep_of[x] is the least member of x's class."""
         return np.array([arr[0] for arr in self.class_arrays])[self.class_of]
+
+    @cached_property
+    def inverse_classes(self):
+        """inverse_classes[x] is the index of the class X^{-1}."""
+        return self.class_of[self.group.inv_table[[arr[0] for arr in self.class_arrays]]]
 
     @cached_property
     def class_rows(self):
@@ -176,7 +172,7 @@ class SRing:
 
     def orthogonals(self):
         """Non-identity classes X contained in Y*Y^{-1} for some class Y."""
-        support = [self.product_vector(y, self.inverse_class(y)) > 0 for y in range(self.rank)]
+        support = [self.products(y)[self.inverse_classes[y]] > 0 for y in range(self.rank)]
         # each support is an A-set, so it holds X iff it holds X's least member
         hit = np.array(support)[:, [arr[0] for arr in self.class_arrays]].any(0)
         return [x for x in range(1, self.rank) if hit[x]]
@@ -271,8 +267,8 @@ def validate(group, partition):
     is inverse-closed; every product of two class sums has a constant
     coefficient on each class.  For module closure, one `class_products`
     call per class X gives X*Y for every class Y from X on, and the whole
-    matrix is compared with its values at the class representatives; the
-    products are left in the ring's product cache.  The violation carries
+    matrix is compared with its values at the class representatives.  The
+    ring holds only its partition.  The violation carries
     minimal witnesses: for module closure, the first pair (x, y) with
     x <= y in lexicographic order and the least element where X*Y is not
     constant.
@@ -300,7 +296,8 @@ def validate(group, partition):
         image = ring.class_of[group.inv_table[arr]]  # X^-1 is a class iff it fills one
         if (image != image[0]).any() or len(ring.class_arrays[image[0]]) != len(arr):
             raise SRingViolation("inverse-closure", {"class": ci})
-    rep_of = ring.rep_of
+    # not ring.rep_of, which would stay cached on the ring
+    rep_of = np.array([arr[0] for arr in ring.class_arrays])[ring.class_of]
     for x, xarr in enumerate(ring.class_arrays):
         # row i is X*Y for y = x + i; each y < x was paired with x before
         later = np.flatnonzero(ring.class_of >= x)
@@ -322,8 +319,6 @@ def validate(group, partition):
                     ),
                 },
             )
-        for i, row in enumerate(products):
-            ring._products[(x, x + i)] = row
     return ring
 
 

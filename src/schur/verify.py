@@ -401,30 +401,32 @@ _MAX_POWERSET_RANK = 12  # check_torsion_power_sets covers all A-sets up to this
 def check_structure_constant_identity(ring):
     """|Z| c^{Z^-1}_{X,Y} = |X| c^{X^-1}_{Y,Z} = |Y| c^{Y^-1}_{Z,X}.
 
-    One (rank, rank, rank) array c[x, y, w] = c^{W}_{X,Y}, the product
-    vectors read at the class minima, gives all three sides for every
-    (x, y, z) at once; the first violation in (x, y, z) order is named."""
-    r = ring.rank
+    One (rank, rank, rank) array c[x, y, w] = c^{W}_{X,Y}, each class's
+    product block read at the class minima, gives all three sides for
+    every (x, y, z) at once; the first violation in (x, y, z) order is
+    named."""
     minima = [int(arr[0]) for arr in ring.class_arrays]
-    inverse = [ring.inverse_class(z) for z in range(r)]
-    c = np.array([[ring.product_vector(x, y)[minima] for y in range(r)] for x in range(r)])
+    c = np.array([ring.products(x)[:, minima] for x in range(ring.rank)])
     # d[x, y, z] = c^{Z^-1}_{X,Y}, scaled by |Z|
-    d = c[:, :, inverse] * np.array([len(cl) for cl in ring.classes])
+    d = c[:, :, ring.inverse_classes] * np.array([len(cl) for cl in ring.classes])
     lhs, mid, rhs = d, d.transpose(2, 0, 1), d.transpose(1, 2, 0)
     bad = (lhs != mid) | (mid != rhs)
     assert not bad.any(), tuple(np.argwhere(bad)[0].tolist())
 
 
 def check_product_sets(ring):
-    """XY is an A-set; XY is a single class when |X| = 1 or |Y| = 1."""
-    r = ring.rank
-    support = np.array([[ring.product_vector(x, y) for y in range(r)] for x in range(r)]) > 0
+    """XY is an A-set; XY is a single class when |X| = 1 or |Y| = 1.
+
+    One class X at a time; the first failing (x, y) in row-major order is
+    named."""
     thin = np.array([len(c) == 1 for c in ring.classes])
     # an A-set is a single class iff it holds a single class minimum
     minima = ring.rep_of == np.arange(ring.group.size)
-    single = (support & minima).sum(-1) == 1
-    bad = ~ring.is_class_constant(support) | ((thin[:, None] | thin) & ~single)
-    assert not bad.any(), tuple(np.argwhere(bad)[0].tolist())
+    for x in range(ring.rank):
+        support = ring.products(x) > 0
+        single = (support & minima).sum(-1) == 1
+        bad = ~ring.is_class_constant(support) | ((thin[x] | thin) & ~single)
+        assert not bad.any(), (x, int(np.argmax(bad)))
 
 
 def check_coset_intersections(ring):

@@ -47,6 +47,8 @@ def test_public_api_names_resolve():
     assert not any(hasattr(schur.group, name) for name in gone)
     assert not hasattr(schur.sring, "SectionRef")
     assert not hasattr(schur.PermGroup, "orbit")
+    # a ring keeps no product cache: products come one class at a time
+    assert not any(hasattr(schur.SRing, name) for name in ("product_vector", "inverse_class"))
 
 
 def test_star_import_binds_both_products():

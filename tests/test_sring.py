@@ -116,12 +116,17 @@ def test_module_closure_verdict_and_witness_match_pairwise_products(orders):
             got = e.detail
         assert got == expected, classes
         verdicts.add(got is None)
-        if got is None:  # validate leaves its products in the ring's cache
-            for x, y in itertools.combinations_with_replacement(range(ring.rank), 2):
-                v = oracle_set_product(g, classes[x], classes[y])
-                assert ring.product_vector(x, y).tolist() == v
-                assert ring.product_vector(y, x).tolist() == v
+        if got is None:
+            for x in range(ring.rank):
+                block = ring.products(x).tolist()
+                assert block == [oracle_set_product(g, classes[x], c) for c in classes]
     assert verdicts == {True, False}
+
+
+def test_validated_ring_holds_only_its_partition(rings_z3z9):
+    for ring in rings_z3z9[::40]:
+        ring = validate(ring.group, ring.classes)
+        assert set(vars(ring)) == {"group", "classes", "class_arrays", "class_of"}
 
 
 def test_structure_constants():
@@ -132,6 +137,12 @@ def test_structure_constants():
     assert ring.structure_constant(x, x, x) == 1  # a = a^2 * a^2
     with pytest.raises(IndexError):
         ring.structure_constant(0, 0, 5)
+    # a negative index is no class either, not a count from the end
+    for x in (-1, ring.rank):
+        with pytest.raises(IndexError):
+            ring.products(x)
+        with pytest.raises(IndexError):
+            ring.structure_constant(x, 0, 0)
 
 
 def test_is_a_set_and_a_subgroups():
@@ -361,15 +372,23 @@ def test_property_checks_reject_a_partition_that_breaks_them(check, orders, clas
 
 def _first_identity_violation(ring):
     """Oracle: the first (x, y, z), in loop order, at which the three sides
-    of the structure-constant identity, each one `structure_constant`
-    call, are not all equal; None when there is none."""
-    size = [len(c) for c in ring.classes]
-    inv = ring.inverse_class
+    of the structure-constant identity are not all equal; None when there
+    is none.  Each c^W_{X,Y} is read from one `oracle_set_product` per
+    (x, y), and X^-1 is the class of `group.inv` of min X."""
+    g = ring.group
+    classes = [sorted(c) for c in ring.classes]
+    size = [len(c) for c in classes]
+    class_of = {i: ci for ci, c in enumerate(classes) for i in c}
+    inv = [class_of[g.index[g.inv(g.elements[c[0]])]] for c in classes]
+    sc = {}
+    for x, y in itertools.product(range(ring.rank), repeat=2):
+        v = oracle_set_product(g, classes[x], classes[y])
+        sc[x, y] = [v[c[0]] for c in classes]
     for x, y, z in itertools.product(range(ring.rank), repeat=3):
         sides = {
-            size[z] * ring.structure_constant(x, y, inv(z)),
-            size[x] * ring.structure_constant(y, z, inv(x)),
-            size[y] * ring.structure_constant(z, x, inv(y)),
+            size[z] * sc[x, y][inv[z]],
+            size[x] * sc[y, z][inv[x]],
+            size[y] * sc[z, x][inv[y]],
         }
         if len(sides) > 1:
             return (x, y, z)
