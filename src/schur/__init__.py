@@ -1,7 +1,7 @@
 """S-rings over finite abelian groups: construction, validation, exhaustive
 enumeration, and schurity testing."""
 
-from .errors import BudgetExceeded, CapExceeded, GroupMismatch
+from .errors import BudgetExceeded
 from .group import (
     AbelianGroup,
     automorphisms,
@@ -40,9 +40,7 @@ from .enumeration import (
 __all__ = [
     "AbelianGroup",
     "BudgetExceeded",
-    "CapExceeded",
     "CatalogSizeMismatch",
-    "GroupMismatch",
     "PermGroup",
     "SRing",
     "SRingViolation",

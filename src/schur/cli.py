@@ -6,11 +6,12 @@ failure.
 
 Each subcommand takes only the budget flags it reads:
 
-  enumerate      --max-order, --time-limit, --jobs
+  enumerate      --time-limit, --jobs
   verify-paper   --time-limit, --jobs
 
-`check --schurity` and `aut` take no budget flag; their automorphism
-search stops at its fixed node budget, which exits 2 like any other budget.
+Every other limit is a fixed module constant: the group order caps, the
+enumeration order cap and the automorphism search's node budget.  Whatever
+subcommand trips one, `main` prints the `budget exceeded` line and exits 2.
 """
 
 from __future__ import annotations
@@ -28,36 +29,19 @@ from . import schurity as sch
 from . import sring as sr
 from . import verify as ver
 from .enumeration import (
-    DEFAULT_ENUM_CAP,
     FILTERS,
     _new_stats,
     classify_up_to_cayley,
     enumerate_srings,
     filter_rings,
 )
-from .errors import BudgetExceeded, CapExceeded
+from .errors import BudgetExceeded
 
 EX_OK = 0
 EX_BUDGET = 2
 EX_NONSCHURIAN = 3
 EX_USAGE = 64
 EX_DATA = 65
-
-
-# flag -> (default, type, help)
-BUDGETS = {
-    "--max-order": (
-        DEFAULT_ENUM_CAP,
-        int,
-        "largest group order to enumerate (default %d)" % DEFAULT_ENUM_CAP,
-    ),
-    "--time-limit": (None, float, "wall-clock limit in seconds"),
-    "--jobs": (
-        os.cpu_count() or 1,
-        int,
-        "worker count for enumeration (default: available parallelism)",
-    ),
-}
 
 
 def _parse_group(text):
@@ -118,17 +102,7 @@ def cmd_enumerate(args):
     g = _parse_group(args.group)
     stats = _new_stats()
     t0 = time.monotonic()
-    try:
-        rings = enumerate_srings(
-            g,
-            cap=args.max_order,
-            jobs=args.jobs,
-            time_limit=args.time_limit,
-            stats=stats,
-        )
-    except (BudgetExceeded, CapExceeded) as e:
-        print("budget exceeded: %s" % e, file=sys.stderr)
-        return EX_BUDGET
+    rings = enumerate_srings(g, jobs=args.jobs, time_limit=args.time_limit, stats=stats)
     seconds = time.monotonic() - t0
     if args.filter:
         try:
@@ -157,13 +131,8 @@ def cmd_enumerate(args):
 
 def _schurity(ring):
     """`is_schurian` on the ring with |Aut| and the stabilizer orbits
-    printed; None, with the budget message printed, when the search runs
-    out of budget."""
-    try:
-        rep = sch.is_schurian(ring)
-    except BudgetExceeded as e:
-        print("budget exceeded: %s" % e, file=sys.stderr)
-        return None
+    printed."""
+    rep = sch.is_schurian(ring)
     print("|Aut| = %d" % rep.aut_order)
     print(
         "stabilizer orbits: %s"
@@ -178,8 +147,6 @@ def cmd_check(args):
     if not args.schurity:
         return EX_OK
     rep = _schurity(ring)
-    if rep is None:
-        return EX_BUDGET
     if rep.schurian:
         print("schurian")
         return EX_OK
@@ -230,8 +197,6 @@ def cmd_wreath(args):
 
 def cmd_aut(args):
     rep = _schurity(_read_ring(args.ring))
-    if rep is None:
-        return EX_BUDGET
     print("schurian" if rep.schurian else "non-schurian")
     return EX_OK
 
@@ -284,17 +249,21 @@ def build_parser():
     def add_common(q):
         q.add_argument("-o", "--output", default=None, help="write result to this file")
 
-    def add_budgets(q, *flags):
-        for flag in flags:
-            default, cast, text = BUDGETS[flag]
-            q.add_argument(flag, type=cast, default=default, help=text)
+    def add_budgets(q):
+        q.add_argument("--time-limit", type=float, help="wall-clock limit in seconds")
+        q.add_argument(
+            "--jobs",
+            type=int,
+            default=os.cpu_count() or 1,
+            help="worker count for enumeration (default: available parallelism)",
+        )
 
     q = sub.add_parser("enumerate", help="enumerate all S-rings over a group")
     q.add_argument("--group", required=True, help="comma-separated cyclic orders, e.g. 3,9")
     q.add_argument("--up-to-cayley", action="store_true")
     q.add_argument("--filter", default=None, help="comma-separated: %s" % ",".join(sorted(FILTERS)))
     add_common(q)
-    add_budgets(q, "--max-order", "--time-limit", "--jobs")
+    add_budgets(q)
     q.set_defaults(fn=cmd_enumerate)
 
     q = sub.add_parser("check", help="validate a ring JSON; optionally test schurity")
@@ -345,7 +314,7 @@ def build_parser():
     q.add_argument("--n", type=int, required=True, help="1, 2, or 3 (3 is long-running)")
     q.add_argument("--report", default=None, help="also write the JSON report here")
     q.add_argument("--verbose", action="store_true")
-    add_budgets(q, "--time-limit", "--jobs")
+    add_budgets(q)
     q.set_defaults(fn=cmd_verify_paper)
 
     return p
@@ -360,7 +329,11 @@ def main(argv=None):
         if e.code not in (0, None):
             raise SystemExit(EX_USAGE)
         raise
-    code = args.fn(args)
+    try:
+        code = args.fn(args)
+    except BudgetExceeded as e:
+        print("budget exceeded: %s" % e, file=sys.stderr)
+        code = EX_BUDGET
     raise SystemExit(code)
 
 

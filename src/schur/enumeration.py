@@ -52,7 +52,7 @@ import numpy as np
 
 from . import group as grp
 from . import sring as sr
-from .errors import BudgetExceeded, CapExceeded, GroupMismatch
+from .errors import BudgetExceeded
 from .permaction import orbit_labels
 from .sring import class_products
 
@@ -307,7 +307,7 @@ def _root_orbit_representatives(cands, tables):
     return [cands[i] for i in np.flatnonzero(labels == np.arange(len(cands)))]
 
 
-def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats=None):
+def enumerate_srings(group, jobs=1, time_limit=None, stats=None):
     """The complete, duplicate-free list of S-rings over G, canonical order.
 
     The root node's candidate classes for the pivot, the least non-identity
@@ -317,7 +317,8 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
     slices, each searched on its own; with jobs <= 1 the one slice runs in
     this process, otherwise each slice runs in a worker process.  The rings
     found are then closed under generators of H by breadth-first search.
-    The result and the stats do not depend on `jobs`.
+    The result and the stats do not depend on `jobs`.  Orders above
+    `DEFAULT_ENUM_CAP`, read at each call, raise BudgetExceeded at once.
 
     `time_limit` (seconds) is one deadline shared by the root, the
     automorphisms, the orbit split and every slice.  Search counters (see
@@ -326,12 +327,15 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
     the same, the closure is skipped, and BudgetExceeded is raised with the
     nodes searched and the distinct rings the search found.
     """
-    if group.size > cap:
-        raise CapExceeded("enumeration over order %d exceeds cap %d" % (group.size, cap))
+    if group.size > DEFAULT_ENUM_CAP:
+        raise BudgetExceeded(
+            "enumeration over order %d exceeds cap %d" % (group.size, DEFAULT_ENUM_CAP)
+        )
     if group.size > 27:
         warnings.warn("enumerating S-rings over order %d may take a long time" % group.size)
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     root = _Search(group, deadline, _new_stats())
+    auts = grp.automorphisms(group)  # before the try, so its order cap is no timeout
     roots, gens, timed_out = [], [], False
     try:
         root._tick()
@@ -339,7 +343,6 @@ def enumerate_srings(group, cap=DEFAULT_ENUM_CAP, jobs=1, time_limit=None, stats
         if pivot is None:  # the trivial group: the root is its only leaf
             root._leaf()
         else:
-            auts = grp.automorphisms(group)
             gens = grp.generating_subset(auts[auts[:, pivot] == pivot])
             _check_deadline(deadline)
             roots = root.candidates(pivot)
@@ -381,14 +384,14 @@ def classify_up_to_cayley(rings, maps=None):
     Returns [(representative, size)] sorted by representative key; sizes sum
     to the input count.  Each orbit is closed by `sring.orbit_keys` under the
     few rows that `group.generating_subset` keeps, which generate the same
-    group as all of them.  Raises GroupMismatch when the rings lie over
-    different groups, and ValueError when they are not a union of orbits.
+    group as all of them.  Raises ValueError when the rings lie over
+    different groups or are not a union of orbits.
     """
     if not rings:
         return []
     group = rings[0].group
     if any(r.group != group for r in rings):
-        raise GroupMismatch("rings over groups %s" % sorted({r.group.orders for r in rings}))
+        raise ValueError("rings over groups %s" % sorted({r.group.orders for r in rings}))
     maps = grp.automorphisms(group) if maps is None else maps
     tables = grp.generating_subset(maps)
     keys = {r.canonical_key(): r for r in rings}

@@ -31,9 +31,9 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from . import permaction as pa
-from .errors import CapExceeded, GroupMismatch
+from .errors import BudgetExceeded
 
-DEFAULT_ORDER_CAP = 243
+DEFAULT_ORDER_CAP = 243  # automorphisms and subgroups raise BudgetExceeded above it
 _AUT_BATCH = 1 << 20  # entries in one batch of candidate automorphism tables
 
 
@@ -71,7 +71,7 @@ class AbelianGroup:
         """Normalize residues componentwise into a valid element tuple."""
         residues = tuple(residues)
         if len(residues) != self.rank:
-            raise GroupMismatch("expected %d residues, got %r" % (self.rank, residues))
+            raise ValueError("expected %d residues, got %r" % (self.rank, residues))
         return tuple(int(a) % m for a, m in zip(residues, self.orders))
 
     def mul(self, g, h):
@@ -179,7 +179,7 @@ def automorphisms(group):
     size of the result.
     """
     if group.size > DEFAULT_ORDER_CAP:
-        raise CapExceeded("group order %d exceeds cap %d" % (group.size, DEFAULT_ORDER_CAP))
+        raise BudgetExceeded("group order %d exceeds cap %d" % (group.size, DEFAULT_ORDER_CAP))
     mods = np.array(group.orders, dtype=np.int64)
     index_type = np.min_scalar_type(group.size - 1)
     tables = np.zeros((1, 1), dtype=index_type)  # the trivial map on S_0 = {0}
@@ -284,7 +284,7 @@ def subgroups(group):
     """All subgroups as one (k, |G|) array of indicator rows, sorted by
     (order, member list)."""
     if group.size > DEFAULT_ORDER_CAP:
-        raise CapExceeded("group order %d exceeds cap %d" % (group.size, DEFAULT_ORDER_CAP))
+        raise BudgetExceeded("group order %d exceeds cap %d" % (group.size, DEFAULT_ORDER_CAP))
     sets = subgroup_sets(group.mul_table)
     rows = np.zeros((len(sets), group.size), dtype=bool)
     for row, members in zip(rows, sets):

@@ -28,7 +28,7 @@ refined against a queue of splitter cells (McKay and Piperno 2014).
 Individualizing v in a stable partition queues only the singleton {v}:
 the rest of v's old cell needs no turn, by Hopcroft's rule.  A singleton
 splitter costs one column of the colour matrix, and nothing more when that
-column splits no cell.  `node_budget` still counts one refinement per
+column splits no cell.  The node budget still counts one refinement per
 individualized vertex, however many splitters it takes, and counts
 individualizing e as one node, though it takes none.
 
@@ -193,7 +193,7 @@ def _class_partition(m):
 # -- the search ---------------------------------------------------------------
 
 
-def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
+def scheme_automorphisms(ring, stats=None):
     """Generators of the full color-preserving group of the ring's scheme.
 
     Always contains the right translations.  Rank <= 2 short-circuits to the
@@ -208,11 +208,12 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
     refines to the class partition (`_class_partition`), which the S-ring
     axiom makes equitable.
 
-    `node_budget` counts refinements: each individualized vertex, on the
-    first path or a candidate path, is one node, e included, and the first
-    path is refined only once.  Candidate paths stop where the positional
-    map already is an automorphism (see the module docstring), so the same
-    budget reaches further into the search than a leaf-only test would.
+    The node budget, `DEFAULT_NODE_BUDGET` read at each call, counts
+    refinements: each individualized vertex, on the first path or a
+    candidate path, is one node, e included, and the first path is refined
+    only once.  Candidate paths stop where the positional map already is an
+    automorphism (see the module docstring), so the same budget reaches
+    further into the search than a leaf-only test would.
 
     Counters are added into `stats` in place, if given: `nodes`
     (refinements), `generators` (of the returned group, translations
@@ -234,12 +235,13 @@ def scheme_automorphisms(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
     # the generators found by the search, each fixing e
     gens = []
     nodes = 0
+    node_limit = DEFAULT_NODE_BUDGET
     # first-path steps (branch cell start, vertex, refined lab, trace), by depth
     path = []
 
     def count_node():
         nonlocal nodes
-        if nodes == node_budget:
+        if nodes == node_limit:
             raise BudgetExceeded(
                 "automorphism search exceeded its node budget after %d nodes, "
                 "%d generators found" % (nodes, len(translations) + len(gens))
@@ -351,7 +353,7 @@ class SchurityReport:
         return self.schurian
 
 
-def is_schurian(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
+def is_schurian(ring, stats=None):
     """Compare the e-stabilizer orbits of the full scheme automorphism group
     with the class partition.
 
@@ -365,7 +367,7 @@ def is_schurian(ring, node_budget=DEFAULT_NODE_BUDGET, stats=None):
     (McKay's argument, see the module docstring).  `stats` receives the
     search's counters, as in `scheme_automorphisms`.
     """
-    aut = scheme_automorphisms(ring, node_budget, stats)
+    aut = scheme_automorphisms(ring, stats)
     stab = aut.point_stabilizer(0)
     orbits = stab.orbits()
     by_class = {}
@@ -413,7 +415,7 @@ class GeneralizedWreathReport:
         return True
 
 
-def genwr_certificate(ring, upper, lower, node_budget=DEFAULT_NODE_BUDGET):
+def genwr_certificate(ring, upper, lower):
     """Evaluate the faithful-regular-orbit certificate on the section ring
     A_{U/L}, for the rows U and L of A-subgroups with L <= U, and,
     independently, direct schurity of A; report both."""
@@ -421,11 +423,11 @@ def genwr_certificate(ring, upper, lower, node_budget=DEFAULT_NODE_BUDGET):
     a_u = ring.restrict(upper)
     a_gl = ring.quotient_ring(np.ones(ring.group.size, dtype=bool), lower)
     a_ul = ring.quotient_ring(upper, lower)
-    upper_rep = is_schurian(a_u, node_budget)
-    quot_rep = is_schurian(a_gl, node_budget)
-    aut_ul = scheme_automorphisms(a_ul, node_budget)
+    upper_rep = is_schurian(a_u)
+    quot_rep = is_schurian(a_gl)
+    aut_ul = scheme_automorphisms(a_ul)
     regorb = aut_ul.point_stabilizer(0).has_faithful_regular_orbit()
-    direct = is_schurian(ring, node_budget)
+    direct = is_schurian(ring)
     return GeneralizedWreathReport(
         upper=upper,
         lower=lower,

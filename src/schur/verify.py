@@ -401,17 +401,22 @@ _MAX_POWERSET_RANK = 12  # check_torsion_power_sets covers all A-sets up to this
 def check_structure_constant_identity(ring):
     """|Z| c^{Z^-1}_{X,Y} = |X| c^{X^-1}_{Y,Z} = |Y| c^{Y^-1}_{Z,X}.
 
-    One (rank, rank, rank) array c[x, y, w] = c^{W}_{X,Y}, each class's
-    product block read at the class minima, gives all three sides for
-    every (x, y, z) at once; the first violation in (x, y, z) order is
+    One class X at a time, in (rank, rank) arrays over (y, z).  X's
+    product block read at the least member of each Z^-1 gives the first
+    side, and its transpose the third, because XZ = ZX.  The middle side
+    counts the b in Z with m - b in Y, m the least member of X^-1: one
+    bincount of class pairs.  The first violation in (x, y, z) order is
     named."""
-    minima = [int(arr[0]) for arr in ring.class_arrays]
-    c = np.array([ring.products(x)[:, minima] for x in range(ring.rank)])
-    # d[x, y, z] = c^{Z^-1}_{X,Y}, scaled by |Z|
-    d = c[:, :, ring.inverse_classes] * np.array([len(cl) for cl in ring.classes])
-    lhs, mid, rhs = d, d.transpose(2, 0, 1), d.transpose(1, 2, 0)
-    bad = (lhs != mid) | (mid != rhs)
-    assert not bad.any(), tuple(np.argwhere(bad)[0].tolist())
+    g, r = ring.group, ring.rank
+    minima = np.array([arr[0] for arr in ring.class_arrays])[ring.inverse_classes]
+    sizes = np.array([len(cl) for cl in ring.classes])
+    for x in range(r):
+        # d[y, z] = |Z| c^{Z^-1}_{X,Y}, and d[z, y] = |Y| c^{Y^-1}_{Z,X}
+        d = ring.products(x)[:, minima] * sizes
+        pairs = ring.class_of[g.mul_table[minima[x], g.inv_table]] * r + ring.class_of
+        mid = np.bincount(pairs, minlength=r * r).reshape(r, r) * sizes[x]
+        bad = (d != d.T) | (d != mid)
+        assert not bad.any(), (x, *np.argwhere(bad)[0].tolist())
 
 
 def check_product_sets(ring):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from schur import AbelianGroup, CapExceeded
+from schur import AbelianGroup, BudgetExceeded
 from schur import sring as sr
 from schur.enumeration import enumerate_srings
 
@@ -67,7 +67,7 @@ def set_partitions(items):
 def enumerate_srings_brute(group):
     """Oracle: filter every set partition of G \\ {e} through validation."""
     if group.size > 9:
-        raise CapExceeded("brute-force oracle is limited to order 9")
+        raise BudgetExceeded("brute-force oracle is limited to order 9")
     rest = list(range(1, group.size))
     out = []
     for part in set_partitions(rest):

@@ -39,6 +39,8 @@ def test_public_api_names_resolve():
         "Subgroup",
         "SectionRef",
         "subgroup",
+        "CapExceeded",
+        "GroupMismatch",
     }
     assert not removed & set(schur.__all__)
     assert not any(hasattr(schur, name) for name in removed)
@@ -80,7 +82,7 @@ def test_enumerate_default_jobs_reports_search_stats():
 def test_budget_flags_belong_to_their_subcommand():
     parser = build_parser()
     owned = {
-        ("enumerate", "--group", "3,3"): {"--max-order", "--time-limit", "--jobs"},
+        ("enumerate", "--group", "3,3"): {"--time-limit", "--jobs"},
         ("check", "-"): set(),
         ("aut", "-"): set(),
         ("verify-paper", "--n", "1"): {"--time-limit", "--jobs"},
@@ -211,6 +213,15 @@ def test_verify_paper_time_limit_stops_every_claim():
 def test_enumerate_time_limit_zero_exits_2():
     proc = run_cli(["enumerate", "--group", "3,9", "--time-limit", "0", "--jobs", "1"])
     assert proc.returncode == 2, proc.stdout + proc.stderr
+
+
+def test_classify_over_the_order_cap_exits_2():
+    # rings over Z256 validate, but Aut(Z256) is above the order cap of 243
+    ring = {"group": [256], "classes": [[[0]], [[i] for i in range(1, 256)]]}
+    proc = run_cli(["classify", "-"], stdin=json.dumps([ring]))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "budget exceeded: group order 256 exceeds cap 243" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_main_entry_usage_error_code():

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from schur import AbelianGroup, BudgetExceeded, CapExceeded, automorphisms
+from schur import AbelianGroup, BudgetExceeded, automorphisms
 from schur import enumeration
 from schur import sring as sr
 from schur.enumeration import (
@@ -42,15 +42,16 @@ def test_known_counts_regression():
 
 
 def test_brute_oracle_size_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded):
         enumerate_srings_brute(AbelianGroup([3, 9]))
 
 
 def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded):
         enumerate_srings(AbelianGroup([3, 3, 3, 3, 3]))
-    with pytest.raises(CapExceeded):
-        enumerate_srings(AbelianGroup([3, 9]), cap=9)
+    # the least order above the cap of 81, below the automorphism cap
+    with pytest.raises(BudgetExceeded, match="enumeration over order 82 exceeds cap 81"):
+        enumerate_srings(AbelianGroup([2, 41]))
 
 
 def test_closed_under_automorphisms_and_rational_conjugation():

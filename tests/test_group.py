@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from schur import AbelianGroup, CapExceeded, automorphisms, map_from_generator_images
+from schur import AbelianGroup, BudgetExceeded, automorphisms, map_from_generator_images
 from schur import group as group_module
 from schur.group import closure, generating_subset, section, subgroups
 from conftest import abelian_group_orders_up_to
@@ -63,9 +63,9 @@ def test_subgroup_counts(orders, count):
 
 def test_subgroups_cap():
     # order 256 is above the default cap of 243
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded, match="group order 256 exceeds cap 243"):
         subgroups(AbelianGroup([2, 128]))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded, match="group order 256 exceeds cap 243"):
         automorphisms(AbelianGroup([2, 128]))
 
 

@@ -338,21 +338,25 @@ def test_search_stats_without_a_search():
     assert stats == {"nodes": 7, "generators": 2, "depth": 0}
 
 
-def test_node_budget_names_the_progress_made(rings_z3z9):
+def test_node_budget_names_the_progress_made(rings_z3z9, monkeypatch):
     for ring in rings_z3z9:
         full = {}
         is_schurian(ring, stats=full)
         if full["nodes"] > 20:
             break
+    verdict = is_schurian(ring).schurian
     stats = {}
+    monkeypatch.setattr(schurity, "DEFAULT_NODE_BUDGET", 20)
     with pytest.raises(BudgetExceeded, match=r"after 20 nodes, \d+ generators found"):
-        is_schurian(ring, node_budget=20, stats=stats)
+        is_schurian(ring, stats=stats)
     assert stats["nodes"] == 20
     assert 2 <= stats["generators"] <= full["generators"]
     # the budget counts refinements, so the full node count is just enough
-    assert is_schurian(ring, node_budget=full["nodes"]).schurian == is_schurian(ring).schurian
+    monkeypatch.setattr(schurity, "DEFAULT_NODE_BUDGET", full["nodes"])
+    assert is_schurian(ring).schurian == verdict
+    monkeypatch.setattr(schurity, "DEFAULT_NODE_BUDGET", full["nodes"] - 1)
     with pytest.raises(BudgetExceeded):
-        is_schurian(ring, node_budget=full["nodes"] - 1)
+        is_schurian(ring)
 
 
 def test_schurity_invariant_under_group_automorphisms(rings_z3z9):

@@ -1,6 +1,7 @@
 import pytest
 
 from schur import AbelianGroup, automorphisms, table1
+from schur import group as group_module
 from schur.verify import (
     catalog_keys,
     cyclotomic_partition_orbits,
@@ -20,6 +21,15 @@ def test_time_limit_zero_runs_no_claim():
     report = run_claims(2, time_limit=0)
     assert report.claims
     assert all(c.status == "budget" for c in report.claims)
+
+
+def test_order_cap_inside_a_claim_is_a_budget(monkeypatch):
+    # both n = 1 claims that run need Aut(Z3 x Z3), of order 9 > 8
+    monkeypatch.setattr(group_module, "DEFAULT_ORDER_CAP", 8)
+    report = run_claims(1)
+    assert [c.id for c in report.claims] == ["enumerate", "e-c1-classes"]
+    for c in report.claims:
+        assert (c.status, c.detail) == ("budget", "group order 9 exceeds cap 8")
 
 
 # -- oracle: the full-list closure, pure Python, union-find joins --------------
